@@ -1,0 +1,15 @@
+"""Make ``hubbench`` and the hubkit sources importable, with BLAS capped."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+
+sys.path.insert(0, BENCH)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from hubbench.env import cap_threads  # noqa: E402
+
+cap_threads()
