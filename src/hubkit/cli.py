@@ -8,12 +8,14 @@ histogram, skewness, sparsity), emd (distribution gap), sweep-tau
 Exit codes: 0 success, 1 usage error (bad or missing flags), 2 data error
 (unreadable or malformed inputs).  Every subcommand is deterministic given
 its flags and seed.  The environment variable HUBKIT_THREADS caps the thread
-pools of the numeric backends (0 or unset = automatic); it is applied before
-the numeric libraries load, and all solver loops are single-threaded either
-way.
+pools of the numeric backends and the number of threads that sort and
+rank row blocks (0 or unset = automatic: one ranking thread per available
+CPU); the BLAS cap is applied before the numeric libraries load.  All solver
+loops are single-threaded either way.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -44,6 +46,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -351,11 +373,11 @@ def build_parser() -> _Parser:
         required=True,
         choices=["none", "is", "dis", "dualis", "sn", "dbsn", "otn", "l2n", "hn"],
     )
-    p.add_argument("--tau", type=float, default=None, help="default 0.02 for is/dis, 0.01 for sn/dbsn")
-    p.add_argument("--tau1", type=float, default=0.02)
-    p.add_argument("--tau2", type=float, default=0.02)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--tau", type=_positive_float, default=None, help="default 0.02 for is/dis, 0.01 for sn/dbsn")
+    p.add_argument("--tau1", type=_positive_float, default=0.02)
+    p.add_argument("--tau2", type=_positive_float, default=0.02)
+    p.add_argument("--iters", type=_positive_int, default=10)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--coeff", type=float, default=100.0)
     p.add_argument("--hn-literal", action="store_true")
     p.add_argument("--bank-targets-sim", help="query-bank rows x target columns (is/sn/dis/dbsn)")
@@ -368,13 +390,13 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--Ks", default="1,5,10")
     p.add_argument("--method", default="none", help="normalization name echoed into the report")
-    p.add_argument("--skew-k", type=int, default=None, help="also record N_k skewness at this k")
+    p.add_argument("--skew-k", type=_positive_int, default=None, help="also record N_k skewness at this k")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("diagnose", help="k-occurrence histogram, skewness, and sparsity")
     p.add_argument("--sim", required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--eps-rel", type=float, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diagnose)
@@ -392,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sim", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--taus", default="0.2,0.1,0.05,0.02,0.01")
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--iters", type=_positive_int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_tau)
 
@@ -403,8 +425,8 @@ def build_parser() -> _Parser:
     p.add_argument("--bank-queries", required=True)
     p.add_argument("--bank-targets", required=True)
     p.add_argument("--fractions", default="0.1,0.25,0.5,1.0")
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--tau", type=_positive_float, default=0.01)
+    p.add_argument("--iters", type=_positive_int, default=10)
     p.add_argument("--subsample", type=int, default=256)
     p.add_argument("--repeats", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)

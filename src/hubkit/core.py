@@ -6,6 +6,8 @@ domain types are made read-only so every operation stays a pure function of
 immutable inputs.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -146,11 +148,58 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
     return SimilarityMatrix(Q.data @ T.data.T, row_role=Q.role, col_role=T.role)
 
 
+#: Target size of one row block of :func:`row_argsort_desc`, in float64 values.
+_SORT_BLOCK_VALUES = 1 << 17
+
+
+def _ranking_threads() -> int:
+    """Threads the row-block ranking uses: ``HUBKIT_THREADS`` if positive,
+    capped at the CPUs this process may run on (all of them when unset)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        cap = int(os.environ.get("HUBKIT_THREADS", "0"))
+    except ValueError:
+        cap = 0
+    return min(cap, cpus) if cap > 0 else cpus
+
+
+def _argsort_block(V: np.ndarray, out: np.ndarray) -> None:
+    """Stable descending argsort of the rows of V into ``out``.
+
+    numpy's default (unstable, vectorized) sort orders the rows; only rows
+    that hold two equal scores, which is where the unstable sort may leave
+    ties out of column order, are sorted again with the stable sort.
+    """
+    neg = np.negative(V)
+    order = np.argsort(neg, axis=1)
+    keys = np.take_along_axis(neg, order, axis=1)
+    tied = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+    out[:] = order
+
+
 def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
     """Sort each row's column indices by descending score.
 
-    A stable sort on the negated scores leaves equal scores in ascending
-    column-index order.
+    The result equals a stable sort of the negated scores, so equal scores
+    (``0.0`` and ``-0.0`` included) stay in ascending column-index order.
+    Rows are sorted in blocks; a matrix of more than one block's worth of
+    values is spread over up to :func:`_ranking_threads` threads, with at
+    least one block each (numpy's sort releases the GIL).
     """
-    order = np.argsort(-S.values, axis=1, kind="stable")
+    V = S.values
+    m, n = V.shape
+    # no more threads than blocks' worth of values: starting a thread costs
+    # more than sorting a small matrix
+    threads = min(_ranking_threads(), m, -(-m * n // _SORT_BLOCK_VALUES))
+    rows = max(1, min(_SORT_BLOCK_VALUES // n, -(-m // threads)))
+    order = np.empty((m, n), dtype=np.int64)
+    blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
+    if threads == 1:
+        for b in blocks:
+            _argsort_block(V[b], order[b])
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(lambda b: _argsort_block(V[b], order[b]), blocks))
     return RankMatrix(order)

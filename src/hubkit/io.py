@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .core import EmbeddingSet, Role, SimilarityMatrix, l2_normalize
-from .errors import BadMagic, IoFailure, SizeMismatch, TruncatedFile
+from .errors import BadMagic, DataError, IoFailure, SizeMismatch, TruncatedFile
 from .retrieval import GroundTruth, RetrievalReport
 
 _HEADER = struct.Struct("<4sII")
@@ -126,21 +126,37 @@ def write_report(report: RetrievalReport, path) -> None:
 
 
 def read_ground_truth(path) -> GroundTruth:
-    """Parse a text file with one correct target index per line."""
+    """Parse a text file with one line of comma-separated target indices per
+    query; blank lines are skipped.
+
+    A line that is not a list of nonnegative integers raises ``DataError``
+    naming the file and the 1-based line number.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise IoFailure(path, str(exc)) from exc
-    indices = [int(line) for line in lines if line]
-    return GroundTruth.from_indices(indices)
+    pairs = []
+    for number, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            targets = [int(part) for part in line.split(",")]
+            valid = min(targets) >= 0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise DataError(f"{path} (line {number}): expected nonnegative target indices, got {line!r}")
+        pairs.append(frozenset(targets))
+    return GroundTruth(tuple(pairs))
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
-    """Write singleton ground truth, one target index per line."""
+    """Write one line per query: its target indices, ascending, comma-joined."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for pair in gt.pairs:
-                fh.write(f"{min(pair)}\n")
+                fh.write(",".join(str(j) for j in sorted(pair)) + "\n")
     except OSError as exc:
         raise IoFailure(path, str(exc)) from exc

@@ -9,9 +9,11 @@ import pytest
 from hubkit import (
     GroundTruth,
     SimilarityMatrix,
+    best_rank,
     evaluate,
     inverted_softmax,
     read_similarity,
+    row_argsort_desc,
     write_ground_truth,
     write_similarity,
 )
@@ -107,6 +109,27 @@ class TestPipeline:
             ]) == 0
         for name in ("q.emb", "t.emb", "gt.txt", "bq.emb", "bt.emb", "raw.sim", "sn.sim", "report.json"):
             assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
+
+    def test_evaluate_multi_target_file(self, tmp_path):
+        rng = np.random.default_rng(65)
+        S = SimilarityMatrix(np.round(rng.uniform(-1, 1, (30, 40)), 1))
+        gt = GroundTruth(tuple(
+            frozenset(rng.choice(40, size=rng.integers(1, 4), replace=False).tolist())
+            for _ in range(30)
+        ))
+        write_similarity(S, tmp_path / "s.sim")
+        write_ground_truth(gt, tmp_path / "gt.txt")
+        assert "," in (tmp_path / "gt.txt").read_text()
+        assert main([
+            "evaluate", "--sim", str(tmp_path / "s.sim"), "--gt", str(tmp_path / "gt.txt"),
+            "--Ks", "1,5,10", "--out", str(tmp_path / "report.json"),
+        ]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        # the library route, through sorted positions rather than counts
+        br = best_rank(row_argsort_desc(read_similarity(tmp_path / "s.sim")), gt)
+        assert doc["r_at"] == {str(k): float(100.0 * np.mean(br <= k)) for k in (1, 5, 10)}
+        assert doc["mdr"] == float(np.sort(br)[(br.size - 1) // 2])
+        assert doc["mnr"] == float(br.mean())
 
 
 class TestNormalizeMethods:
@@ -233,6 +256,35 @@ class TestExitCodes:
         bad = tmp_path / "bad.sim"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)
         assert main(["normalize", "--input", str(bad), "--method", "is", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--iters", "--tau", "--tau1", "--tau2"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_solver_flags_are_usage_errors(self, tmp_path, flag, value):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.eye(4)), sim)
+        code = main(["normalize", "--input", str(sim), "--method", "sn",
+                     flag, value, "--out", str(tmp_path / "o.sim")])
+        assert code == 1
+        assert not (tmp_path / "o.sim").exists()
+
+    def test_non_positive_k_flags_are_usage_errors(self, tmp_path):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.eye(4)), sim)
+        write_ground_truth(GroundTruth.identity(4), tmp_path / "gt.txt")
+        out = str(tmp_path / "o.txt")
+        assert main(["diagnose", "--sim", str(sim), "--k", "0", "--out", out]) == 1
+        assert main(["evaluate", "--sim", str(sim), "--gt", str(tmp_path / "gt.txt"),
+                     "--skew-k", "0", "--out", out]) == 1
+        assert main(["sweep-tau", "--sim", str(sim), "--gt", str(tmp_path / "gt.txt"),
+                     "--iters", "0", "--out", out]) == 1
+
+    def test_malformed_ground_truth_is_data_error(self, tmp_path):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.eye(2)), sim)
+        gt = tmp_path / "gt.txt"
+        gt.write_text("0\nnot-an-index\n")
+        assert main(["evaluate", "--sim", str(sim), "--gt", str(gt),
+                     "--Ks", "1", "--out", str(tmp_path / "r.json")]) == 2
 
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,11 +1,15 @@
 """Embedding sets, cosine similarity, and rank extraction."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hubkit import core
 from hubkit import (
     DimMismatch,
     EmbeddingSet,
@@ -124,6 +128,80 @@ class TestRowArgsortDesc:
         n = V.shape[1]
         for row in order:
             assert sorted(row.tolist()) == list(range(n))
+
+
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, -1.0])
+
+
+class TestRowArgsortMatchesStableSort:
+    """The blocked, threaded sort must equal numpy's stable sort exactly."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @given(
+        V=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=TIE_VALUES,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_multi_block(self, threads, V):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("HUBKIT_THREADS", threads)
+            # blocks of a few rows, so most shapes span several blocks
+            mp.setattr(core, "_SORT_BLOCK_VALUES", 24)
+            order = row_argsort_desc(SimilarityMatrix(V)).order
+        np.testing.assert_array_equal(order, np.argsort(-V, axis=1, kind="stable"))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_default_blocks_with_rounded_ties(self, monkeypatch, threads):
+        monkeypatch.setenv("HUBKIT_THREADS", threads)
+        rng = np.random.default_rng(7)
+        V = np.round(rng.uniform(-1, 1, (300, 1000)), 2)
+        V[rng.random(V.shape) < 0.05] = -0.0
+        V[::7] = rng.uniform(-1, 1, (V[::7].shape))  # some rows without ties
+        order = row_argsort_desc(SimilarityMatrix(V)).order
+        np.testing.assert_array_equal(order, np.argsort(-V, axis=1, kind="stable"))
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # workers write disjoint row blocks of one output array
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 8)
+        monkeypatch.setattr(core, "_SORT_BLOCK_VALUES", 64)
+        rng = np.random.default_rng(8)
+        V = np.round(rng.uniform(-1, 1, (200, 32)), 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            order = row_argsort_desc(SimilarityMatrix(V)).order
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(order, np.argsort(-V, axis=1, kind="stable"))
+
+    def test_threads_only_for_large_matrices(self, monkeypatch):
+        pools = []
+
+        class SpyPool(core.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
+        rng = np.random.default_rng(9)
+        row_argsort_desc(SimilarityMatrix(rng.uniform(-1, 1, (64, 64))))
+        assert pools == []
+        row_argsort_desc(SimilarityMatrix(rng.uniform(-1, 1, (100, 8000))))
+        assert pools == [2]
+
+    def test_signed_zeros_keep_column_order(self):
+        order = row_argsort_desc(SimilarityMatrix(np.array([[-0.0, 0.0, -0.0, 1.0]]))).order
+        np.testing.assert_array_equal(order, [[3, 0, 1, 2]])
+
+    def test_thread_count_follows_hubkit_threads(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        for value, want in [("1", 1), ("100000", cpus), ("0", cpus), ("junk", cpus)]:
+            monkeypatch.setenv("HUBKIT_THREADS", value)
+            assert core._ranking_threads() == want
 
 
 class TestContainers:

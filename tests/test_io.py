@@ -8,6 +8,7 @@ import pytest
 
 from hubkit import (
     BadMagic,
+    DataError,
     EmbeddingSet,
     GroundTruth,
     IoFailure,
@@ -200,3 +201,27 @@ class TestGroundTruthFiles:
         path = tmp_path / "gt.txt"
         path.write_text("2\n\n0\n")
         assert read_ground_truth(path).pairs == (frozenset({2}), frozenset({0}))
+
+    def test_singleton_file_bytes(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        write_ground_truth(GroundTruth.from_indices([3, 1, 10]), path)
+        assert path.read_bytes() == b"3\n1\n10\n"
+
+    def test_multi_target_round_trip(self, tmp_path):
+        gt = GroundTruth((frozenset({4, 0, 2}), frozenset({1}), frozenset({7, 3})))
+        path = tmp_path / "gt.txt"
+        write_ground_truth(gt, path)
+        assert path.read_text() == "0,2,4\n1\n3,7\n"
+        assert read_ground_truth(path).pairs == gt.pairs
+
+    def test_spaces_around_commas(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text(" 1, 2 \n0\n")
+        assert read_ground_truth(path).pairs == (frozenset({1, 2}), frozenset({0}))
+
+    @pytest.mark.parametrize("line", ["x", "1,", "1,,2", "2.5", "-1", "3,-4"])
+    def test_bad_line_names_line_number(self, tmp_path, line):
+        path = tmp_path / "gt.txt"
+        path.write_text(f"0\n\n{line}\n1\n")
+        with pytest.raises(DataError, match="line 3"):
+            read_ground_truth(path)

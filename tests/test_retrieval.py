@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from hubkit import retrieval
 from hubkit import (
     DataError,
     GroundTruth,
@@ -132,6 +136,78 @@ class TestEvaluate:
             evaluate(S, GroundTruth.identity(3), Ks=[])
         with pytest.raises(DataError):
             evaluate(S, GroundTruth.identity(3), Ks=[4])
+
+
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0])
+
+
+@st.composite
+def scores_and_truth(draw, multi: bool):
+    V = draw(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30),
+            elements=TIE_VALUES,
+        )
+    )
+    m, n = V.shape
+    size = st.integers(1, min(n, 4)) if multi else st.just(1)
+    pairs = tuple(
+        frozenset(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+        for k in draw(st.lists(size, min_size=m, max_size=m))
+    )
+    return V, GroundTruth(pairs)
+
+
+class TestEvaluateMatchesSortedRanks:
+    """Counting ranks must give what sorting and reading positions gives."""
+
+    @pytest.mark.parametrize("multi", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_report_equals_sorted_best_rank(self, multi, data):
+        V, gt = data.draw(scores_and_truth(multi))
+        S = SimilarityMatrix(V)
+        Ks = sorted({1, max(1, S.cols // 2), S.cols})
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of a few rows, so most shapes span several blocks
+            mp.setattr(retrieval, "_COUNT_BLOCK_VALUES", 24)
+            report = evaluate(S, gt, Ks)
+        br = best_rank(row_argsort_desc(S), gt)
+        assert report.r_at == {k: float(100.0 * np.mean(br <= k)) for k in Ks}
+        assert report.mdr == float(np.sort(br)[(br.size - 1) // 2])
+        assert report.mnr == float(br.mean())
+
+    def test_multi_target_rows_at_default_blocks(self):
+        rng = np.random.default_rng(56)
+        V = np.round(rng.uniform(-1, 1, (700, 500)), 2)
+        pairs = tuple(
+            frozenset(rng.choice(500, size=rng.integers(1, 6), replace=False).tolist())
+            for _ in range(700)
+        )
+        gt = GroundTruth(pairs)
+        S = SimilarityMatrix(V)
+        br = best_rank(row_argsort_desc(S), gt)
+        report = evaluate(S, gt, [1, 10, 100])
+        assert report.r_at == {k: float(100.0 * np.mean(br <= k)) for k in [1, 10, 100]}
+        assert report.mnr == float(br.mean())
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            evaluate(SimilarityMatrix(np.eye(3)), GroundTruth.identity(4), Ks=[1])
+
+    @pytest.mark.parametrize(
+        "pairs", [({0}, {1}, {3}), ({0}, {1, 7}, {2}), ({0, 2}, {1}, {2, 3})]
+    )
+    def test_target_index_out_of_range(self, pairs):
+        gt = GroundTruth(tuple(frozenset(p) for p in pairs))
+        with pytest.raises(IndexOutOfRange, match="query"):
+            evaluate(SimilarityMatrix(np.eye(3)), gt, Ks=[1])
+
+    def test_names_first_offending_query(self):
+        gt = GroundTruth((frozenset({0}), frozenset({1, 9}), frozenset({5})))
+        with pytest.raises(IndexOutOfRange, match="query 1 references target 9 of 3"):
+            evaluate(SimilarityMatrix(np.eye(3)), gt, Ks=[1])
 
 
 class TestReportValidation:
