@@ -198,7 +198,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from . import io
-    from .core import row_argsort_desc
+    from .core import row_topk_desc
     from .diagnostics import k_occurrence, skewness
     from .retrieval import evaluate
 
@@ -207,7 +207,7 @@ def _cmd_evaluate(args) -> int:
     Ks = _parse_int_list(args.Ks, "--Ks")
     skew = None
     if args.skew_k is not None:
-        skew = skewness(k_occurrence(row_argsort_desc(S), args.skew_k))
+        skew = skewness(k_occurrence(row_topk_desc(S, args.skew_k), args.skew_k, targets=S.cols))
     report = evaluate(S, gt, Ks, skew=skew, normalization=args.method, params={})
     io.write_report(report, args.out)
     return 0
@@ -215,7 +215,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from . import io
-    from .core import row_argsort_desc
+    from .core import row_topk_desc
     from .diagnostics import k_occurrence, skewness
     from .errors import IoFailure
     from .sinkhorn import TransportPlan
@@ -224,7 +224,7 @@ def _cmd_diagnose(args) -> int:
     import numpy as np
 
     S = io.read_similarity(args.sim)
-    occ = k_occurrence(row_argsort_desc(S), args.k)
+    occ = k_occurrence(row_topk_desc(S, args.k), args.k, targets=S.cols)
     import warnings
 
     with warnings.catch_warnings():
@@ -289,7 +289,7 @@ def _cmd_sweep_tau(args) -> int:
 
 def _cmd_banksweep(args) -> int:
     from . import io
-    from .core import EmbeddingSet, Role, cosine_similarity_matrix, row_argsort_desc
+    from .core import EmbeddingSet, Role, cosine_similarity_matrix, row_topk_desc
     from .diagnostics import EmdConfig, emd, k_occurrence, skewness
     from .errors import IoFailure
     from .retrieval import evaluate
@@ -328,7 +328,7 @@ def _cmd_banksweep(args) -> int:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                skew = skewness(k_occurrence(row_argsort_desc(normalized), 1))
+                skew = skewness(k_occurrence(row_topk_desc(normalized, 1), 1, targets=normalized.cols))
             lines.append(f"{fraction:g}\t{method}\t{report.r_at[1]:.4f}\t{skew:.6f}\t{gap:.6f}")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,12 +8,13 @@ immutable inputs.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteInput, ZeroVectorRow
+from .errors import DimMismatch, KOutOfRange, NonFiniteInput, ZeroVectorRow
 
 
 class Role(Enum):
@@ -25,9 +26,15 @@ class Role(Enum):
     TARGET_BANK = "target_bank"
 
 
-def _freeze(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+def _freeze(arr: np.ndarray, dtype=np.float64, adopt: bool = False) -> np.ndarray:
+    """A read-only, contiguous ``dtype`` array with the contents of ``arr``.
+
+    An array passed in is copied, so writes through another reference cannot
+    reach the frozen one; ``adopt`` takes over an array the library has just
+    computed and holds no other reference to.
+    """
     out = np.ascontiguousarray(arr, dtype=dtype)
-    if out is arr:
+    if out is arr and not adopt:
         out = out.copy()
     out.setflags(write=False)
     return out
@@ -71,19 +78,22 @@ class SimilarityMatrix:
 
     ``row_role`` / ``col_role`` record which embedding sets produced it
     (e.g. query-bank rows against target columns for hubness estimation).
+    ``_adopt=True`` is for the library's own fresh results: it freezes them
+    in place instead of copying (see :func:`_freeze`).
     """
 
     values: np.ndarray
     row_role: Role = Role.QUERY
     col_role: Role = Role.TARGET
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise NonFiniteInput(f"similarity values must be a nonempty 2-D matrix, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise NonFiniteInput("similarity values contain NaN or Inf")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", _freeze(values, adopt=_adopt))
 
     @property
     def rows(self) -> int:
@@ -97,22 +107,29 @@ class SimilarityMatrix:
         """Same axis roles, new scores."""
         return SimilarityMatrix(values, row_role=self.row_role, col_role=self.col_role)
 
+    def _adopt_values(self, values: np.ndarray) -> "SimilarityMatrix":
+        """:meth:`with_values` for scores the library has just computed:
+        takes them over without the defensive copy."""
+        return SimilarityMatrix(values, self.row_role, self.col_role, _adopt=True)
+
 
 @dataclass(frozen=True)
 class RankMatrix:
     """Per-row permutations of column indices, best score first.
 
     Ties are broken by ascending column index, so the order is deterministic
-    for any input.
+    for any input.  A top-k ranking holds only the first k columns.
+    ``_adopt`` is as for :class:`SimilarityMatrix`.
     """
 
     order: np.ndarray = field()
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         order = np.asarray(self.order, dtype=np.int64)
         if order.ndim != 2:
             raise NonFiniteInput(f"rank order must be 2-D, got shape {order.shape}")
-        object.__setattr__(self, "order", _freeze(order, dtype=np.int64))
+        object.__setattr__(self, "order", _freeze(order, dtype=np.int64, adopt=_adopt))
 
     @property
     def rows(self) -> int:
@@ -145,10 +162,10 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
     """Inner products of every Q row with every T row (cosine for unit rows)."""
     if Q.dim != T.dim:
         raise DimMismatch(Q.dim, T.dim)
-    return SimilarityMatrix(Q.data @ T.data.T, row_role=Q.role, col_role=T.role)
+    return SimilarityMatrix(Q.data @ T.data.T, row_role=Q.role, col_role=T.role, _adopt=True)
 
 
-#: Target size of one row block of :func:`row_argsort_desc`, in float64 values.
+#: Target size of one row block of the ranking functions, in float64 values.
 _SORT_BLOCK_VALUES = 1 << 17
 
 
@@ -179,27 +196,67 @@ def _argsort_block(V: np.ndarray, out: np.ndarray) -> None:
     out[:] = order
 
 
-def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
-    """Sort each row's column indices by descending score.
+def _topk_block(V: np.ndarray, out: np.ndarray, k: int) -> None:
+    """The first k columns of :func:`_argsort_block`'s order, into ``out``.
 
-    The result equals a stable sort of the negated scores, so equal scores
-    (``0.0`` and ``-0.0`` included) stay in ascending column-index order.
-    Rows are sorted in blocks; a matrix of more than one block's worth of
-    values is spread over up to :func:`_ranking_threads` threads, with at
-    least one block each (numpy's sort releases the GIL).
+    ``argpartition`` picks k best scores; sorting them by column and then
+    stably by score orders them.  The pick can differ from the stable sort's
+    only where a score equal to the k-th best also lies outside it, so rows
+    with more than k scores at least that good are sorted in full.
     """
-    V = S.values
+    neg = np.negative(V)
+    pick = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    pick.sort(axis=1)
+    keys = np.take_along_axis(neg, pick, axis=1)
+    out[:] = np.take_along_axis(pick, np.argsort(keys, axis=1, kind="stable"), axis=1)
+    edge = keys.max(axis=1, keepdims=True)
+    cut = np.flatnonzero(np.count_nonzero(neg <= edge, axis=1) > k)
+    if cut.size:
+        out[cut] = np.argsort(neg[cut], axis=1, kind="stable")[:, :k]
+
+
+def _by_row_blocks(V: np.ndarray, out: np.ndarray, fill) -> None:
+    """Call ``fill(V[rows], out[rows])`` for row blocks of V.
+
+    A matrix of more than one block's worth of values is spread over up to
+    :func:`_ranking_threads` threads, with at least one block each (numpy's
+    sorts release the GIL).
+    """
     m, n = V.shape
     # no more threads than blocks' worth of values: starting a thread costs
     # more than sorting a small matrix
     threads = min(_ranking_threads(), m, -(-m * n // _SORT_BLOCK_VALUES))
     rows = max(1, min(_SORT_BLOCK_VALUES // n, -(-m // threads)))
-    order = np.empty((m, n), dtype=np.int64)
     blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
     if threads == 1:
         for b in blocks:
-            _argsort_block(V[b], order[b])
+            fill(V[b], out[b])
     else:
         with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(lambda b: _argsort_block(V[b], order[b]), blocks))
-    return RankMatrix(order)
+            list(pool.map(lambda b: fill(V[b], out[b]), blocks))
+
+
+def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
+    """Sort each row's column indices by descending score.
+
+    The result equals a stable sort of the negated scores, so equal scores
+    (``0.0`` and ``-0.0`` included) stay in ascending column-index order.
+    Rows are sorted in blocks, on up to ``HUBKIT_THREADS`` threads for
+    matrices larger than one block.
+    """
+    order = np.empty(S.values.shape, dtype=np.int64)
+    _by_row_blocks(S.values, order, _argsort_block)
+    return RankMatrix(order, _adopt=True)
+
+
+def row_topk_desc(S: SimilarityMatrix, k: int) -> RankMatrix:
+    """The k best columns of each row, best first: a RankMatrix of k columns.
+
+    Equal to ``row_argsort_desc(S).order[:, :k]``, ties and signed zeros
+    included, without sorting whole rows.
+    """
+    if not 1 <= k <= S.cols:
+        raise KOutOfRange(k, S.cols)
+    order = np.empty((S.rows, k), dtype=np.int64)
+    _by_row_blocks(S.values, order, partial(_topk_block, k=k))
+    return RankMatrix(order, _adopt=True)

@@ -15,9 +15,9 @@ quantity are the identical number with the opposite stored sign.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import logsumexp
 
-from .core import RankMatrix, SimilarityMatrix, row_argsort_desc
+from .core import SimilarityMatrix, row_topk_desc
 from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, NonPositiveTau
 
 
@@ -85,11 +85,16 @@ def inverted_softmax(S: SimilarityMatrix, tau: float = 0.02) -> SimilarityMatrix
 
     Output entry (i, j) is exp(S_ij/tau) / sum_u exp(S_uj/tau); every column
     sums to 1.  Columns are max-shifted before exponentiation so no positive
-    argument ever reaches exp.
+    argument ever reaches exp.  The steps are scipy's ``softmax(S / tau,
+    axis=0)`` in the same order, done in one buffer, so the result is equal.
     """
     if tau <= 0:
         raise NonPositiveTau(tau)
-    return S.with_values(softmax(S.values / tau, axis=0))
+    out = S.values / tau
+    out -= out.max(axis=0)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0)
+    return S._adopt_values(out)
 
 
 def is_hubness(S_bank_targets: SimilarityMatrix, tau: float = 0.02) -> HubnessVector:
@@ -109,7 +114,7 @@ def apply_hubness(S: SimilarityMatrix, h: HubnessVector) -> SimilarityMatrix:
     """Add a per-target compensation to every row of S."""
     if h.values.shape[0] != S.cols:
         raise LengthMismatch(f"hubness vector length {h.values.shape[0]} vs {S.cols} columns")
-    return S.with_values(S.values + h.values[None, :])
+    return S._adopt_values(S.values + h.values[None, :])
 
 
 def dis_subset(S_bank_targets: SimilarityMatrix, cfg: DISConfig = DISConfig()) -> np.ndarray:
@@ -118,12 +123,8 @@ def dis_subset(S_bank_targets: SimilarityMatrix, cfg: DISConfig = DISConfig()) -
     Returns a boolean mask of length n.  Ties inside a row are broken by
     ascending column index, the same convention as ranking.
     """
-    n = S_bank_targets.cols
-    if cfg.k > n:
-        raise KOutOfRange(cfg.k, n)
-    order = row_argsort_desc(S_bank_targets).order
-    mask = np.zeros(n, dtype=bool)
-    mask[np.unique(order[:, : cfg.k])] = True
+    mask = np.zeros(S_bank_targets.cols, dtype=bool)
+    mask[np.unique(row_topk_desc(S_bank_targets, cfg.k).order)] = True
     return mask
 
 
@@ -153,7 +154,7 @@ def dynamic_inverted_softmax(
     scaled = np.exp(S.values / tau - log_denominator[None, :])
     out = S.values.copy()
     out[:, mask] = scaled[:, mask]
-    return S.with_values(out)
+    return S._adopt_values(out)
 
 
 def dual_inverted_softmax(
@@ -177,7 +178,7 @@ def dual_inverted_softmax(
     log_q = logsumexp(S_qbank_targets.values / cfg.tau1, axis=0)
     log_t = logsumexp(S_tbank_targets.values / cfg.tau2, axis=0)
     log_out = (S.values / cfg.tau1 - log_q[None, :]) + (S.values / cfg.tau2 - log_t[None, :])
-    return S.with_values(np.exp(log_out))
+    return S._adopt_values(np.exp(log_out))
 
 
 def dual_is_compensations(

@@ -5,21 +5,20 @@ and column marginals, where ``H(pi) = sum -pi_ij (log pi_ij - 1)``.  The
 optimum has the form ``pi_ij = exp((S_ij + f_i + g_j) / tau)`` with dual
 potentials f, g fixed by alternating row/column balancing.
 
-Everything runs in the log domain: the multiplicative form exponentiates
-``S / tau`` up front, which at the default tau = 0.01 means e^100-scale
-intermediates; the log-domain updates only ever exponentiate max-shifted,
-non-positive arguments.  The plan itself is materialized once at the end,
-when every entry is bounded by its column marginal.
+Balancing runs in the scaling domain with log-domain absorption (Schmitzer
+2019): two mat-vecs per sweep with one kernel buffer whose entries never
+exceed 1, so the e^100 scale of ``exp(S / tau)`` at tau = 0.01 is never
+formed; sums that underflow are redone as exact log-sum-exps.  The plan is
+materialized only by :func:`sinkhorn`, once, at the end.
 
 Ranking use: per row, ``pi`` is a monotone transform of ``S + g``, so adding
 the column potential to the similarity matrix reproduces the plan's ranking
 while the row potential cancels inside each row.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import SimilarityMatrix
 from .errors import (
@@ -80,6 +79,10 @@ class SinkhornConfig:
     once the plan's marginal violation drops below it.  Feasibility-critical
     callers use tol=1e-8 with a few thousand sweeps; the 10-sweep default is
     the normalization operating point.
+
+    ``log_domain`` must stay True: it states that ``f`` and ``g`` are
+    log-domain potentials (``pi = exp((S + f + g) / tau)``), whatever form
+    the iteration takes internally.
     """
 
     tau: float = 0.01
@@ -104,7 +107,9 @@ class TransportPlan:
 
     For entropic plans, ``pi = exp((S + f + g) / tau)`` exactly as stored
     (the free normalizing constant is absorbed into f).  Plans from
-    non-entropic solvers carry ``f = g = None`` and ``tau = 0``.
+    non-entropic solvers carry ``f = g = None`` and ``tau = 0``.  The
+    library's solvers pass ``_adopt=True`` to hand over a plan they have just
+    computed without the defensive copy; any other ``pi`` is copied.
     """
 
     pi: np.ndarray
@@ -114,12 +119,13 @@ class TransportPlan:
     iterations_run: int
     marginal_violation: float
     converged: bool = True
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         pi = np.ascontiguousarray(self.pi, dtype=np.float64)
         if pi.ndim != 2 or pi.size < 1:
             raise ShapeMismatch(f"plan must be a nonempty 2-D matrix, got shape {pi.shape}")
-        pi = pi.copy() if pi is self.pi else pi
+        pi = pi.copy() if pi is self.pi and not _adopt else pi
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         for name in ("f", "g"):
@@ -137,8 +143,79 @@ def _check_shapes(S: SimilarityMatrix, marg: Marginals) -> None:
         raise ShapeMismatch(f"column marginal length {marg.b.shape[0]} vs {S.cols} columns")
 
 
+#: A scaling whose log leaves [-_ABSORB, _ABSORB] is absorbed into the kernel.
+_ABSORB = 200.0
+#: Kernel entries that underflow each err by under ``tiny * w_j``, so a sum
+#: ``K @ w`` above ``w.sum() * _LOST`` keeps float64 precision.
+_LOST = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
+def _sinkhorn_duals(V: np.ndarray, a: np.ndarray | None, b: np.ndarray, cfg: SinkhornConfig):
+    """Potentials of the balancing, without the plan: ``(f, g, sweeps,
+    row_residual, converged)``; the residual is the L1 row residual of (f, g)
+    after the last sweep (0 when rows are free).
+
+    Each update multiplies ``K = exp((V + F + G) / tau)`` by the scaling
+    ``exp((g - G) / tau)`` or ``exp((f - F) / tau)``.  The anchors F, G start
+    at minus the row (or, rows free, column) maxima and take the values of
+    f, g when a scaling leaves ``e^+-_ABSORB``, so K never exceeds 1.  Column
+    sums use einsum, which adds in one order for every column, so equal
+    columns get equal ``g`` (BLAS rounds the columns of a tail block apart).
+    """
+    tau = cfg.tau
+    m, n = V.shape
+    log_a, log_b = None if a is None else np.log(a), np.log(b)
+    F = np.zeros(m) if a is None else -V.max(axis=1)
+    G = -V.max(axis=0) if a is None else np.zeros(n)
+    K = np.empty_like(V)
+
+    def absorb(f, g):
+        F[:], G[:] = f, g
+        np.add(V, F[:, None], out=K)
+        np.add(K, G, out=K)
+        np.divide(K, tau, out=K)
+        np.exp(K, out=K)
+
+    def update(on_rows, other):
+        anchor, other_anchor, log_marg = (F, G, log_a) if on_rows else (G, F, log_b)
+        w = np.exp((other - other_anchor) / tau)
+        s = K @ w if on_rows else np.einsum("ij,i->j", K, w)
+        with np.errstate(divide="ignore"):
+            pot = anchor + tau * (log_marg - np.log(s))
+        lost = np.flatnonzero(~(s >= w.sum() * _LOST))
+        if lost.size:
+            X = ((V[lost] if on_rows else V[:, lost].T) + other) / tau
+            top = X.max(axis=1)
+            pot[lost] = tau * (log_marg[lost] - top - np.log(np.exp(X - top[:, None]).sum(axis=1)))
+        if np.abs(pot - anchor).max() > _ABSORB * tau:
+            absorb(*((pot, other) if on_rows else (other, pot)))
+        return pot
+
+    def rows(g):
+        return np.zeros(m) if a is None else update(True, g)
+
+    absorb(F, G)
+    f_next = rows(np.zeros(n))
+    converged = cfg.tol <= 0.0
+    for sweep in range(cfg.max_iters):
+        f = f_next
+        g = update(False, f)
+        f_next = rows(g)  # its sums give the row sums of (f, g): a * exp((f - f_next) / tau)
+        residual = 0.0 if a is None else float(np.abs(np.exp(log_a + (f - f_next) / tau) - a).sum())
+        if cfg.tol > 0.0 and residual <= cfg.tol:
+            converged = True
+            break
+    return f, g, sweep + 1, residual, converged
+
+
+def _balanced_g(V: np.ndarray, cfg: SinkhornConfig) -> np.ndarray:
+    """Column potential of the balancing under uniform marginals."""
+    m, n = V.shape
+    return _sinkhorn_duals(V, np.full(m, 1.0 / m), np.full(n, 1.0 / n), cfg)[1]
+
+
 def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
-    """Alternating log-domain balancing of rows and columns.
+    """Alternating balancing of rows and columns.
 
     One sweep updates ``f <- tau*log a - tau*LSE_j((S+g)/tau)`` then
     ``g <- tau*log b - tau*LSE_i((S+f)/tau)``, starting from g = 0 (the
@@ -148,50 +225,23 @@ def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = Sinkhor
     """
     _check_shapes(S, marg)
     V = S.values
-    tau = cfg.tau
-    a, b = marg.a, marg.b
-    log_b = np.log(b)
-    f = np.zeros(V.shape[0])
-    g = np.zeros(V.shape[1])
-    log_a = np.log(a) if a is not None else None
-
-    iterations = 0
-    converged = cfg.tol <= 0.0
-    f_pending = None
-    for sweep in range(cfg.max_iters):
-        if a is not None:
-            if f_pending is None:
-                f = tau * log_a - tau * logsumexp((V + g[None, :]) / tau, axis=1)
-            else:
-                f = f_pending
-                f_pending = None
-        g = tau * log_b - tau * logsumexp((V + f[:, None]) / tau, axis=0)
-        iterations = sweep + 1
-        if cfg.tol > 0.0:
-            if a is None:
-                converged = True
-                break
-            # The next f-update's logsumexp doubles as the current row sums:
-            # row_sum_i = a_i * exp((f_i - f_next_i)/tau), which never exceeds
-            # the unit total mass, so the exponent stays non-positive.
-            f_pending = tau * log_a - tau * logsumexp((V + g[None, :]) / tau, axis=1)
-            row_sums = np.exp(log_a + (f - f_pending) / tau)
-            if np.abs(row_sums - a).sum() <= cfg.tol:
-                converged = True
-                break
-
-    pi = np.exp((V + f[:, None] + g[None, :]) / tau)
-    violation = float(np.abs(pi.sum(axis=0) - b).sum())
-    if a is not None:
-        violation += float(np.abs(pi.sum(axis=1) - a).sum())
+    f, g, iterations, _, converged = _sinkhorn_duals(V, marg.a, marg.b, cfg)
+    pi = V + f[:, None]  # exp((V + f + g) / tau), in one buffer
+    pi += g
+    pi /= cfg.tau
+    np.exp(pi, out=pi)
+    violation = float(np.abs(pi.sum(axis=0) - marg.b).sum())
+    if marg.a is not None:
+        violation += float(np.abs(pi.sum(axis=1) - marg.a).sum())
     return TransportPlan(
         pi=pi,
         f=f,
         g=g,
-        tau=tau,
+        tau=cfg.tau,
         iterations_run=iterations,
         marginal_violation=violation,
         converged=converged,
+        _adopt=True,
     )
 
 
@@ -200,10 +250,11 @@ def sn_normalize(S: SimilarityMatrix, cfg: SinkhornConfig = SinkhornConfig()) ->
 
     Uses uniform marginals over the matrix's own rows and columns.  The row
     potential shifts all scores of a row equally and cannot change its
-    ranking, so only ``g`` is applied.
+    ranking, so only ``g`` is applied.  The balancing runs through
+    :func:`sinkhorn`, whose result reports its sweeps and convergence.
     """
     plan = sinkhorn(S, Marginals.uniform(S.rows, S.cols), cfg)
-    return S.with_values(S.values + plan.g[None, :])
+    return S._adopt_values(S.values + plan.g[None, :])
 
 
 def estimate_target_hubness(
@@ -215,8 +266,7 @@ def estimate_target_hubness(
     returns the column potential ``g`` in the additive convention (the
     normalized score is ``S + g``).
     """
-    plan = sinkhorn(S_bank_targets, Marginals.uniform(S_bank_targets.rows, S_bank_targets.cols), cfg)
-    return HubnessVector(plan.g, temperature=cfg.tau)
+    return HubnessVector(_balanced_g(S_bank_targets.values, cfg), temperature=cfg.tau)
 
 
 def dbsn(
@@ -236,21 +286,14 @@ def dbsn(
     """
     if S_bq_targets.cols != S.cols:
         raise ColMismatch(f"{S.cols} target columns vs {S_bq_targets.cols} bank-target columns")
-    if S_bq_tbank is None:
-        extended = S_bq_targets
-    else:
+    extended = S_bq_targets.values
+    if S_bq_tbank is not None:
         if S_bq_tbank.rows != S_bq_targets.rows:
             raise RowMismatch(
                 f"bank similarity rows disagree: {S_bq_targets.rows} vs {S_bq_tbank.rows}"
             )
-        extended = SimilarityMatrix(
-            np.hstack([S_bq_targets.values, S_bq_tbank.values]),
-            row_role=S_bq_targets.row_role,
-            col_role=S_bq_targets.col_role,
-        )
-    h_extended = estimate_target_hubness(extended, cfg)
-    h_targets = HubnessVector(h_extended.values[: S.cols], temperature=cfg.tau)
-    return apply_hubness(S, h_targets)
+        extended = np.hstack([extended, S_bq_tbank.values])
+    return apply_hubness(S, HubnessVector(_balanced_g(extended, cfg)[: S.cols], temperature=cfg.tau))
 
 
 def plan_entropy(plan: TransportPlan) -> float:

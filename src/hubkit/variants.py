@@ -122,6 +122,7 @@ def otn(
         tau=tau_final,
         iterations_run=sweeps,
         marginal_violation=violation,
+        _adopt=True,
     )
 
 
@@ -231,6 +232,7 @@ def l2n(
         iterations_run=sweeps,
         marginal_violation=violation,
         converged=converged,
+        _adopt=True,
     )
 
 
@@ -250,6 +252,7 @@ def hn(S: SimilarityMatrix) -> TransportPlan:
         tau=0.0,
         iterations_run=1,
         marginal_violation=0.0,
+        _adopt=True,
     )
 
 
@@ -265,7 +268,7 @@ def hn_normalize(S: SimilarityMatrix, literal: bool = False) -> SimilarityMatrix
     if literal:
         return S.with_values(plan.pi)
     span = float(S.values.max() - S.values.min())
-    return S.with_values(S.values + (span + 1.0) * plan.pi)
+    return S._adopt_values(S.values + (span + 1.0) * plan.pi)
 
 
 def sparsity(plan: TransportPlan, eps_rel: float = 1e-9) -> float:

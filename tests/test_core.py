@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from hubkit import (
     DimMismatch,
     EmbeddingSet,
     NonFiniteInput,
+    RankMatrix,
     Role,
     SimilarityMatrix,
     ZeroVectorRow,
     cosine_similarity_matrix,
     l2_normalize,
     row_argsort_desc,
+    row_topk_desc,
 )
+from hubkit.errors import KOutOfRange
 
 
 class TestL2Normalize:
@@ -204,6 +208,40 @@ class TestRowArgsortMatchesStableSort:
             assert core._ranking_threads() == want
 
 
+class TestRowTopkDesc:
+    """The top-k path must equal the first k columns of the full sort."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @given(
+        data=st.data(),
+        V=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=TIE_VALUES | st.floats(-1, 1),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_full_sort_prefix(self, threads, data, V):
+        k = data.draw(st.integers(1, V.shape[1]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("HUBKIT_THREADS", threads)
+            mp.setattr(core, "_SORT_BLOCK_VALUES", 24)
+            top = row_topk_desc(SimilarityMatrix(V), k).order
+        assert top.shape == (V.shape[0], k)
+        np.testing.assert_array_equal(top, row_argsort_desc(SimilarityMatrix(V)).order[:, :k])
+
+    def test_tie_across_the_cut_takes_lower_columns(self):
+        V = np.array([[0.5, 0.9, 0.5, 0.5, -0.0, 0.0]])
+        np.testing.assert_array_equal(row_topk_desc(SimilarityMatrix(V), 2).order, [[1, 0]])
+        np.testing.assert_array_equal(row_topk_desc(SimilarityMatrix(-V), 3).order, [[4, 5, 0]])
+
+    def test_k_out_of_range(self):
+        S = SimilarityMatrix(np.zeros((2, 3)))
+        for k in (0, 4):
+            with pytest.raises(KOutOfRange):
+                row_topk_desc(S, k)
+
+
 class TestContainers:
     def test_embedding_set_rejects_empty(self):
         with pytest.raises(Exception):
@@ -227,3 +265,31 @@ class TestContainers:
         S2 = S.with_values(np.array([[0.7]]))
         assert S2.row_role == Role.QUERY_BANK and S2.col_role == Role.TARGET
         assert S2.values[0, 0] == 0.7
+
+    def test_arrays_passed_in_are_copied(self):
+        values = np.array([[0.1, 0.2]])
+        order = np.array([[1, 0]])
+        S, R = SimilarityMatrix(values), RankMatrix(order)
+        values[0, 0] = 5.0
+        order[0, 0] = 0
+        assert S.values[0, 0] == 0.1 and R.order[0, 0] == 1
+        assert S.with_values(values).values is not values
+
+    def test_library_results_are_not_copied(self, monkeypatch):
+        """Fresh results are frozen in place: no second m x n buffer."""
+        monkeypatch.setenv("HUBKIT_THREADS", "1")  # one block's temporaries at a time
+        Q = EmbeddingSet(np.random.default_rng(10).standard_normal((1000, 8)))
+        tracemalloc.start()
+        try:
+            S = cosine_similarity_matrix(Q, Q)
+            _, sim_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            R = row_argsort_desc(S)
+            _, rank_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sim_peak < 1.5 * S.values.nbytes
+        assert rank_peak - S.values.nbytes < 1.5 * R.order.nbytes
+        for arr in (S.values, R.order):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1

@@ -24,6 +24,7 @@ from hubkit import (
     inverted_softmax,
     k_occurrence,
     row_argsort_desc,
+    row_topk_desc,
     skewness,
     sn_normalize,
 )
@@ -62,6 +63,13 @@ class TestKOccurrence:
         V = rng.uniform(-1, 1, (17, 23))
         for k in (1, 4, 23):
             assert k_occurrence(_ranks(V), k=k).counts.sum() == k * 17
+
+    def test_top_k_ranks_with_target_count(self):
+        V = np.random.default_rng(49).uniform(-1, 1, (20, 15))
+        V[:, -1] = -2.0  # in no top-k below k = 15, yet counted
+        for k in (1, 3, 15):
+            top = k_occurrence(row_topk_desc(SimilarityMatrix(V), k), k, targets=15)
+            np.testing.assert_array_equal(top.counts, k_occurrence(_ranks(V), k).counts)
 
     def test_k_bounds(self):
         with pytest.raises(KOutOfRange):

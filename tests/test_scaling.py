@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import softmax
 
 from hubkit import (
     ColMismatch,
@@ -71,6 +72,28 @@ class TestInvertedSoftmax:
         out = inverted_softmax(SimilarityMatrix(V), tau=1.0)
         np.testing.assert_allclose(out.values.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(out.values >= 0)
+
+
+class TestInvertedSoftmaxEqualsScipy:
+    """The one-buffer form repeats scipy's steps in order: equal bit for bit."""
+
+    @given(
+        V=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30),
+            elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(-1, 1),
+        ),
+        tau=st.sampled_from([1.0, 0.1, 0.02, 0.005]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tie_heavy(self, V, tau):
+        out = inverted_softmax(SimilarityMatrix(V), tau)
+        assert np.array_equal(out.values, softmax(V / tau, axis=0))
+
+    def test_random(self):
+        V = np.random.default_rng(11).uniform(-1, 1, (300, 200))
+        out = inverted_softmax(SimilarityMatrix(V), 0.02)
+        assert np.array_equal(out.values, softmax(V / 0.02, axis=0))
 
 
 class TestHubnessVector:

@@ -1,7 +1,12 @@
 """Entropic transport solver, Sinkhorn normalization, and the dual-bank form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hubkit import (
     ColMismatch,
@@ -21,9 +26,11 @@ from hubkit import (
     inverted_softmax,
     marginal_violation,
     plan_entropy,
+    row_argsort_desc,
     sinkhorn,
     sn_normalize,
 )
+from hubkit.sinkhorn import _sinkhorn_duals
 
 
 def _naive_sinkhorn(V, a, b, tau, sweeps):
@@ -39,6 +46,40 @@ def _naive_sinkhorn(V, a, b, tau, sweeps):
         alpha = a / (K @ beta)
         beta = b / (K.T @ alpha)
     return alpha[:, None] * K * beta[None, :]
+
+
+def _log_domain_reference(V, a, b, tau, max_iters, tol):
+    """Log-domain balancing, the reference for the scaling-domain solver.
+
+    Same sweep order, start (g = 0) and stopping rule; every half-sweep is a
+    log-sum-exp over the whole matrix.  Returns (f, g, sweeps, converged).
+    """
+    log_b = np.log(b)
+    f = np.zeros(V.shape[0])
+    g = np.zeros(V.shape[1])
+    log_a = np.log(a) if a is not None else None
+    iterations = 0
+    converged = tol <= 0.0
+    f_pending = None
+    for sweep in range(max_iters):
+        if a is not None:
+            if f_pending is None:
+                f = tau * log_a - tau * logsumexp((V + g[None, :]) / tau, axis=1)
+            else:
+                f = f_pending
+                f_pending = None
+        g = tau * log_b - tau * logsumexp((V + f[:, None]) / tau, axis=0)
+        iterations = sweep + 1
+        if tol > 0.0:
+            if a is None:
+                converged = True
+                break
+            f_pending = tau * log_a - tau * logsumexp((V + g[None, :]) / tau, axis=1)
+            row_sums = np.exp(log_a + (f - f_pending) / tau)
+            if np.abs(row_sums - a).sum() <= tol:
+                converged = True
+                break
+    return f, g, iterations, converged
 
 
 def _objective(V, pi, tau):
@@ -281,3 +322,109 @@ class TestPlanFunctionals:
         )
         with pytest.raises(ShapeMismatch):
             marginal_violation(plan, Marginals.uniform(3, 2))
+
+
+def _reference_inputs(data, min_rows=1):
+    """A matrix of one of four kinds, and solver settings, from hypothesis."""
+    m, n = data.draw(st.integers(min_rows, 40)), data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tau = data.draw(st.sampled_from([1.0, 0.1, 0.05, 0.01, 0.005]))
+    V = rng.uniform(-1.0, 1.0, (m, n))
+    kind = data.draw(st.sampled_from(["unit", "wide", "sunken", "subnormal", "duplicated"]))
+    if kind == "wide":
+        V *= 50.0
+    elif kind == "sunken":
+        # exp(V / tau) underflows this whole column, and so does any kernel
+        # shifted by the row maxima
+        V[:, rng.integers(n)] = -800.0 * tau - 1.0
+    elif kind == "subnormal" and n > 1:
+        # e^-730 below every row's best: a kernel column of subnormals, whose
+        # scaling overflows unless it is absorbed
+        c = rng.integers(n)
+        V[:, c] = np.delete(V, c, axis=1).max(axis=1) - 730.0 * tau
+    elif kind == "duplicated":
+        V[:, rng.integers(n, size=n // 2)] = V[:, rng.integers(n, size=n // 2)]
+    cfg = SinkhornConfig(
+        tau=tau, max_iters=data.draw(st.integers(1, 30)), tol=data.draw(st.sampled_from([0.0, 1e-8]))
+    )
+    return V, cfg
+
+
+def _assert_ranks_like(out, ref, V):
+    """``out`` ranks each row exactly as ``ref`` does, and equal columns of V
+    get equal scores, hence stay in column order.
+
+    Scores that ``ref`` puts within 1e-9 of each other are exempt from the
+    order check: where a row holds all of several columns' mass to float
+    precision (wide values, low tau), their S + g tie in exact arithmetic and
+    only the rounding of g orders them, in either solver.
+    """
+    pos = np.argsort(row_argsort_desc(SimilarityMatrix(out)).order, axis=1)
+    above = ref[:, :, None] - ref[:, None, :] > 1e-9 * max(1.0, float(np.abs(ref).max()))
+    assert np.all((pos[:, :, None] < pos[:, None, :])[above])
+    equal_columns = np.all(V[:, :, None] == V[:, None, :], axis=0)
+    assert np.all((out[:, :, None] == out[:, None, :])[:, equal_columns])
+
+
+class TestScalingDomainMatchesLogDomain:
+    """The scaling-domain solver against the log-domain loop it replaced."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_duals_plan_and_rankings(self, data):
+        V, cfg = _reference_inputs(data)
+        free_rows = data.draw(st.booleans())
+        marg = Marginals.column_only(V.shape[1]) if free_rows else Marginals.uniform(*V.shape)
+        f_ref, g_ref, sweeps_ref, converged_ref = _log_domain_reference(
+            V, marg.a, marg.b, cfg.tau, cfg.max_iters, cfg.tol
+        )
+        f, g, sweeps, residual, converged = _sinkhorn_duals(V, marg.a, marg.b, cfg)
+        assert (sweeps, converged) == (sweeps_ref, converged_ref)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+        assert np.all(np.abs(g - g_ref) <= 1e-9 * np.maximum(1.0, np.abs(g_ref)))
+        assert np.all(np.abs(f - f_ref) <= 1e-9 * np.maximum(1.0, np.abs(f_ref)))
+
+        pi = sinkhorn(SimilarityMatrix(V), marg, cfg).pi
+        pi_ref = np.exp((V + f_ref[:, None] + g_ref[None, :]) / cfg.tau)
+        # relative to float64's normal range: a subnormal entry has fewer bits
+        np.testing.assert_allclose(pi, pi_ref, rtol=1e-10, atol=np.finfo(np.float64).tiny)
+        ref_residual = 0.0 if free_rows else float(np.abs(pi_ref.sum(axis=1) - marg.a).sum())
+        assert residual == pytest.approx(ref_residual, rel=1e-6, abs=1e-12)
+
+        # a single balanced row is the column marginal itself, so its S + g
+        # ties across the row and only rounding orders it
+        if not free_rows and V.shape[0] > 1:
+            _assert_ranks_like(sn_normalize(SimilarityMatrix(V), cfg).values, V + g_ref[None, :], V)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dbsn_rankings(self, data):
+        V, cfg = _reference_inputs(data, min_rows=2)
+        n = data.draw(st.integers(1, V.shape[1]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # queries repeat the bank's target columns, so duplicated columns tie
+        S = SimilarityMatrix(V[rng.integers(V.shape[0], size=6)][:, :n])
+        tbank = SimilarityMatrix(V[:, n:]) if n < V.shape[1] else None
+        marg = Marginals.uniform(*V.shape)
+        _, g_ref, _, _ = _log_domain_reference(V, marg.a, marg.b, cfg.tau, cfg.max_iters, cfg.tol)
+        out = dbsn(S, SimilarityMatrix(V[:, :n]), tbank, cfg)
+        _assert_ranks_like(out.values, S.values + g_ref[None, :n], V[:, :n])
+
+    def test_equal_columns_get_equal_potentials(self):
+        # BLAS mat-vecs round the columns of a tail block differently; the
+        # column update must not
+        rng = np.random.default_rng(41)
+        V = np.repeat(rng.uniform(-1, 1, (37, 1)), 43, axis=1)
+        _, g, _, _, _ = _sinkhorn_duals(V, np.full(37, 1 / 37), np.full(43, 1 / 43), SinkhornConfig())
+        assert np.all(g == g[0])
+
+    def test_sn_normalize_peak_memory(self):
+        """One kernel buffer and the result: no plan, no per-sweep temporaries."""
+        S = SimilarityMatrix(np.random.default_rng(42).uniform(-1, 1, (1000, 1000)))
+        tracemalloc.start()
+        try:
+            sn_normalize(S, SinkhornConfig(tau=0.01, max_iters=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * S.values.nbytes
