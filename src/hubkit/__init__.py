@@ -7,7 +7,28 @@ and two-bank variants) or by entropic optimal transport over the matrix
 (Sinkhorn normalization, with a dual-bank form for the query-free setting),
 plus exact-marginal, Euclidean, and assignment-based alternatives used as
 reference points.  Diagnostics quantify hubness before and after.
+
+Importing the package applies ``HUBKIT_THREADS`` (a positive integer) as the
+default thread count of the BLAS/OpenMP pools before numpy loads; a pool
+variable that is already set wins.  Once numpy has been imported the pools
+are fixed, so the cap reaches BLAS only when hubkit is imported first.
+scipy is imported by the few functions that call it, not by the package.
 """
+
+
+def _apply_thread_cap() -> None:
+    import os
+
+    try:
+        cap = int(os.environ.get("HUBKIT_THREADS", "0"))
+    except ValueError:
+        cap = 0
+    if cap > 0:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, str(cap))
+
+
+_apply_thread_cap()
 
 from .core import (
     EmbeddingSet,

@@ -6,34 +6,30 @@ histogram, skewness, sparsity), emd (distribution gap), sweep-tau
 (temperature study table), banksweep (bank-size study table).
 
 Exit codes: 0 success, 1 usage error (bad or missing flags), 2 data error
-(unreadable or malformed inputs).  Every subcommand is deterministic given
-its flags and seed.  The environment variable HUBKIT_THREADS caps the thread
-pools of the numeric backends and the number of threads that sort and
-rank row blocks (0 or unset = automatic: one ranking thread per available
-CPU); the BLAS cap is applied before the numeric libraries load.  All solver
-loops are single-threaded either way.
+(unreadable or malformed inputs).  Flag values out of range are usage
+errors: a non-positive --pairs, --dim, --iters, --k, --skew-k, --subsample,
+--repeats, --tau, --tau1, --tau2, --coeff, or --Ks/--taus entry; a negative
+--seed; a negative or non-finite --noise, --gap, --bank-shift or --eps-rel;
+a --hub-fraction or --hub-strength outside [0, 1]; a --fractions entry
+outside (0, 1].  A K above the file's column count depends on the
+data and is a data error.  Every subcommand is deterministic given its flags
+and seed.
+
+The environment variable HUBKIT_THREADS caps the thread pools of the
+numeric backends and the number of threads that sort and rank row blocks
+(0 or unset = automatic: one ranking thread per available CPU).  Importing
+the hubkit package applies the BLAS cap, before numpy loads, so it holds
+for the library as well as here.  All solver loops are single-threaded
+either way.
+
+Only emd, banksweep, and normalize with --method dis, dualis, otn, hn, or
+is with --bank-targets-sim import scipy; every other subcommand runs on
+numpy alone, which keeps process start-up short.
 """
 
 import argparse
 import math
-import os
 import sys
-
-
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("HUBKIT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap > 0:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, str(cap))
 
 
 class _UsageError(Exception):
@@ -48,44 +44,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _flag_type(parse, accept, expected: str):
+    """An argparse ``type`` that parses with ``parse`` and keeps the values
+    ``accept`` allows; anything else is a usage error naming ``expected``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+_positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _flag_type(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _flag_type(float, lambda v: math.isfinite(v) and v > 0.0, "a positive number")
+_nonnegative_float = _flag_type(float, lambda v: math.isfinite(v) and v >= 0.0, "a nonnegative number")
+_unit_float = _flag_type(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_fraction = _flag_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise _UsageError(f"{flag} must list at least one value")
-    return values
+def _list_of(entry):
+    """An argparse ``type`` for a comma-separated list of ``entry`` values."""
 
+    def convert(text: str) -> list:
+        values = [entry(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return values
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise _UsageError(f"{flag} must list at least one value")
-    return values
+    return convert
 
 
 def _require(args, names: list[str], method: str) -> None:
@@ -98,6 +90,8 @@ def _cmd_synth(args) -> int:
     from . import io
     from .synth import SynthConfig, generate_banks, generate_paired
 
+    if (args.out_bank_queries is None) != (args.out_bank_targets is None):
+        raise _UsageError("--out-bank-queries and --out-bank-targets go together")
     cfg = SynthConfig(
         dim=args.dim,
         n_pairs=args.pairs,
@@ -112,8 +106,6 @@ def _cmd_synth(args) -> int:
     io.write_embeddings(Q, args.out_queries)
     io.write_embeddings(T, args.out_targets)
     io.write_ground_truth(gt, args.out_gt)
-    if (args.out_bank_queries is None) != (args.out_bank_targets is None):
-        raise _UsageError("--out-bank-queries and --out-bank-targets go together")
     if args.out_bank_queries is not None:
         Bq, Bt = generate_banks(cfg, base=(Q, T))
         io.write_embeddings(Bq, args.out_bank_queries)
@@ -204,11 +196,10 @@ def _cmd_evaluate(args) -> int:
 
     S = io.read_similarity(args.sim)
     gt = io.read_ground_truth(args.gt)
-    Ks = _parse_int_list(args.Ks, "--Ks")
     skew = None
     if args.skew_k is not None:
         skew = skewness(k_occurrence(row_topk_desc(S, args.skew_k), args.skew_k, targets=S.cols))
-    report = evaluate(S, gt, Ks, skew=skew, normalization=args.method, params={})
+    report = evaluate(S, gt, args.Ks, skew=skew, normalization=args.method, params={})
     io.write_report(report, args.out)
     return 0
 
@@ -230,8 +221,15 @@ def _cmd_diagnose(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         skew = skewness(occ)
+    # S.values is already read-only, so the plan can share it without a copy.
     holder = TransportPlan(
-        pi=S.values, f=None, g=None, tau=0.0, iterations_run=0, marginal_violation=0.0
+        pi=S.values,
+        f=None,
+        g=None,
+        tau=0.0,
+        iterations_run=0,
+        marginal_violation=0.0,
+        _adopt=True,
     )
     frac = sparsity(holder, eps_rel=args.eps_rel)
     values, freqs = np.unique(occ.counts, return_counts=True)
@@ -269,9 +267,8 @@ def _cmd_sweep_tau(args) -> int:
 
     S = io.read_similarity(args.sim)
     gt = io.read_ground_truth(args.gt)
-    taus = _parse_float_list(args.taus, "--taus")
     lines = []
-    for tau in taus:
+    for tau in args.taus:
         for method in ("is", "sn"):
             if method == "is":
                 normalized = inverted_softmax(S, tau)
@@ -301,14 +298,11 @@ def _cmd_banksweep(args) -> int:
     Bq = io.read_embeddings(args.bank_queries, role=Role.QUERY_BANK)
     Bt = io.read_embeddings(args.bank_targets, role=Role.TARGET_BANK)
     gt = io.read_ground_truth(args.gt)
-    fractions = _parse_float_list(args.fractions, "--fractions")
     S = cosine_similarity_matrix(Q, T)
     cfg = SinkhornConfig(tau=args.tau, max_iters=args.iters)
     emd_cfg = EmdConfig(subsample=args.subsample, repeats=args.repeats, seed=args.seed)
     lines = []
-    for fraction in fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise _UsageError(f"--fractions entries must lie in (0,1], got {fraction}")
+    for fraction in args.fractions:
         nq = max(1, int(fraction * Bq.count))
         nt = max(1, int(fraction * Bt.count))
         bq = EmbeddingSet(Bq.data[:nq], role=Role.QUERY_BANK)
@@ -343,14 +337,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate synthetic paired embeddings and banks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--noise", type=float, default=0.45)
-    p.add_argument("--gap", type=float, default=0.5)
-    p.add_argument("--hub-fraction", type=float, default=0.15)
-    p.add_argument("--hub-strength", type=float, default=0.6)
-    p.add_argument("--bank-shift", type=float, default=0.0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--pairs", type=_positive_int, default=1000)
+    p.add_argument("--dim", type=_positive_int, default=64)
+    p.add_argument("--noise", type=_nonnegative_float, default=0.45)
+    p.add_argument("--gap", type=_nonnegative_float, default=0.5)
+    p.add_argument("--hub-fraction", type=_unit_float, default=0.15)
+    p.add_argument("--hub-strength", type=_unit_float, default=0.6)
+    p.add_argument("--bank-shift", type=_nonnegative_float, default=0.0)
     p.add_argument("--out-queries", required=True)
     p.add_argument("--out-targets", required=True)
     p.add_argument("--out-gt", required=True)
@@ -378,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau2", type=_positive_float, default=0.02)
     p.add_argument("--iters", type=_positive_int, default=10)
     p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--coeff", type=float, default=100.0)
+    p.add_argument("--coeff", type=_positive_float, default=100.0)
     p.add_argument("--hn-literal", action="store_true")
     p.add_argument("--bank-targets-sim", help="query-bank rows x target columns (is/sn/dis/dbsn)")
     p.add_argument("--bank-bank-sim", help="query-bank rows x target-bank columns (dbsn)")
@@ -388,7 +382,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="R@K/MdR/MnR report from a similarity file")
     p.add_argument("--sim", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--Ks", default="1,5,10")
+    p.add_argument("--Ks", type=_list_of(_positive_int), default="1,5,10")
     p.add_argument("--method", default="none", help="normalization name echoed into the report")
     p.add_argument("--skew-k", type=_positive_int, default=None, help="also record N_k skewness at this k")
     p.add_argument("--out", required=True)
@@ -397,23 +391,23 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diagnose", help="k-occurrence histogram, skewness, and sparsity")
     p.add_argument("--sim", required=True)
     p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--eps-rel", type=float, default=1e-9)
+    p.add_argument("--eps-rel", type=_nonnegative_float, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("emd", help="distribution gap between two embedding files")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--subsample", type=int, default=256)
-    p.add_argument("--repeats", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subsample", type=_positive_int, default=256)
+    p.add_argument("--repeats", type=_positive_int, default=8)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--cost", choices=["euclidean", "one_minus_cosine"], default="euclidean")
     p.set_defaults(func=_cmd_emd)
 
     p = sub.add_parser("sweep-tau", help="R@1 of IS and SN across a temperature grid")
     p.add_argument("--sim", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--taus", default="0.2,0.1,0.05,0.02,0.01")
+    p.add_argument("--taus", type=_list_of(_positive_float), default="0.2,0.1,0.05,0.02,0.01")
     p.add_argument("--iters", type=_positive_int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_tau)
@@ -424,12 +418,12 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--bank-queries", required=True)
     p.add_argument("--bank-targets", required=True)
-    p.add_argument("--fractions", default="0.1,0.25,0.5,1.0")
+    p.add_argument("--fractions", type=_list_of(_fraction), default="0.1,0.25,0.5,1.0")
     p.add_argument("--tau", type=_positive_float, default=0.01)
     p.add_argument("--iters", type=_positive_int, default=10)
-    p.add_argument("--subsample", type=int, default=256)
-    p.add_argument("--repeats", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subsample", type=_positive_int, default=256)
+    p.add_argument("--repeats", type=_positive_int, default=8)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_banksweep)
 
@@ -437,7 +431,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

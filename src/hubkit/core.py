@@ -46,20 +46,21 @@ class EmbeddingSet:
 
     Rows are expected to be unit-normalized (see :func:`l2_normalize`);
     nothing here enforces that so raw features can be carried to the
-    normalizer.
+    normalizer.  ``_adopt`` is as for :class:`SimilarityMatrix`.
     """
 
     data: np.ndarray
     role: Role = Role.QUERY
     ids: tuple[str, ...] | None = None
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise NonFiniteInput(f"embedding data must be a nonempty 2-D matrix, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise NonFiniteInput("embedding data contains NaN or Inf")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", _freeze(data, adopt=_adopt))
         if self.ids is not None and len(self.ids) != data.shape[0]:
             raise NonFiniteInput(f"{len(self.ids)} ids for {data.shape[0]} rows")
 
@@ -155,7 +156,7 @@ def l2_normalize(raw: np.ndarray, role: Role = Role.QUERY) -> EmbeddingSet:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVectorRow(int(zero[0]))
-    return EmbeddingSet(data / norms[:, None], role=role)
+    return EmbeddingSet(data / norms[:, None], role=role, _adopt=True)
 
 
 def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatrix:

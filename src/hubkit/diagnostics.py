@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import EmbeddingSet, RankMatrix, SimilarityMatrix
 from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning
@@ -94,6 +93,8 @@ def skewness(occ: KOccurrence) -> float:
 
 def _ground_cost(X: np.ndarray, Y: np.ndarray, kind: str) -> np.ndarray:
     if kind == "euclidean":
+        from scipy.spatial.distance import cdist
+
         return cdist(X, Y)
     Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
     Yn = Y / np.linalg.norm(Y, axis=1, keepdims=True)

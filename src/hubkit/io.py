@@ -84,7 +84,7 @@ def read_embeddings(path, renormalize: bool = False, role: Role = Role.QUERY) ->
     data = _read_matrix(path, b"EMB1")
     if renormalize:
         return l2_normalize(data, role=role)
-    return EmbeddingSet(data, role=role)
+    return EmbeddingSet(data, role=role, _adopt=True)
 
 
 def write_embeddings(emb: EmbeddingSet, path) -> None:
@@ -97,7 +97,8 @@ def norm_deviation(emb: EmbeddingSet) -> float:
 
 
 def read_similarity(path, row_role: Role = Role.QUERY, col_role: Role = Role.TARGET) -> SimilarityMatrix:
-    return SimilarityMatrix(_read_matrix(path, b"SIM1"), row_role=row_role, col_role=col_role)
+    values = _read_matrix(path, b"SIM1")
+    return SimilarityMatrix(values, row_role=row_role, col_role=col_role, _adopt=True)
 
 
 def write_similarity(S: SimilarityMatrix, path) -> None:

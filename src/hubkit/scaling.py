@@ -15,7 +15,6 @@ quantity are the identical number with the opposite stored sign.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import SimilarityMatrix, row_topk_desc
 from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, NonPositiveTau
@@ -104,6 +103,8 @@ def is_hubness(S_bank_targets: SimilarityMatrix, tau: float = 0.02) -> HubnessVe
     exponentiating at the same temperature reproduces the inverted softmax
     with the bank in the denominator.
     """
+    from scipy.special import logsumexp
+
     if tau <= 0:
         raise NonPositiveTau(tau)
     values = -tau * logsumexp(S_bank_targets.values / tau, axis=0)
@@ -141,6 +142,8 @@ def dynamic_inverted_softmax(
     therefore live on different scales inside one row; that is how the
     formula is defined and it is applied as such.
     """
+    from scipy.special import logsumexp
+
     if tau <= 0:
         raise NonPositiveTau(tau)
     if S.cols != S_bank_targets.cols:
@@ -171,6 +174,8 @@ def dual_inverted_softmax(
     logsumexp compensations, so rankings match the additive form at scale
     ``cfg.lam``.
     """
+    from scipy.special import logsumexp
+
     if S_qbank_targets.cols != S.cols:
         raise ColMismatch(f"{S.cols} target columns vs {S_qbank_targets.cols} query-bank columns")
     if S_tbank_targets.cols != S.cols:
@@ -192,6 +197,8 @@ def dual_is_compensations(
     ``h[j] = -lam * logsumexp(bank column j / tau)``; the product form above
     equals ``exp((S + h_bq + h_bt) / lam)`` entrywise.
     """
+    from scipy.special import logsumexp
+
     lam = cfg.lam
     h_q = -lam * logsumexp(S_qbank_targets.values / cfg.tau1, axis=0)
     h_t = -lam * logsumexp(S_tbank_targets.values / cfg.tau2, axis=0)

@@ -18,8 +18,6 @@ overwhelmingly sparse, in contrast to the strictly positive entropic plan.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
 from .core import SimilarityMatrix
 from .errors import DataError, EmptyPlan, NonPositiveTau
@@ -91,6 +89,8 @@ def otn(
     hold to ~1e-12.  The returned plan omits dual potentials because the
     rounding step breaks the exponential-form reconstruction.
     """
+    from scipy.special import logsumexp
+
     if marg.a is None:
         raise DataError("otn requires both marginals")
     _check_shapes(S, marg)
@@ -242,6 +242,8 @@ def hn(S: SimilarityMatrix) -> TransportPlan:
     Assigns min(m, n) pairs; with more queries than targets the surplus
     query rows are all-zero.
     """
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(S.values, maximize=True)
     pi = np.zeros(S.values.shape)
     pi[rows, cols] = 1.0

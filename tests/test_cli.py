@@ -2,10 +2,15 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hubkit
 from hubkit import (
     GroundTruth,
     SimilarityMatrix,
@@ -278,6 +283,68 @@ class TestExitCodes:
         assert main(["sweep-tau", "--sim", str(sim), "--gt", str(tmp_path / "gt.txt"),
                      "--iters", "0", "--out", out]) == 1
 
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [
+            ("--pairs", "0"), ("--pairs", "-1"), ("--dim", "0"), ("--dim", "2.5"),
+            ("--noise", "-1"), ("--noise", "nan"), ("--gap", "-0.5"), ("--gap", "inf"),
+            ("--bank-shift", "-1"), ("--hub-fraction", "1.5"), ("--hub-strength", "-0.1"),
+            ("--hub-strength", "nan"), ("--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_synth_flags_are_usage_errors(self, tmp_path, flag, value):
+        assert main(_synth_args(tmp_path) + [flag, value]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["emd", "banksweep"])
+    @pytest.mark.parametrize(("flag", "value"), [("--subsample", "0"), ("--repeats", "0"), ("--seed", "-1")])
+    def test_out_of_range_emd_flags_are_usage_errors(self, tmp_path, command, flag, value):
+        emb = str(tmp_path / "missing.emb")  # never read: the flag fails first
+        files = {
+            "emd": ["--x", emb, "--y", emb],
+            "banksweep": [
+                "--queries", emb, "--targets", emb, "--gt", str(tmp_path / "gt.txt"),
+                "--bank-queries", emb, "--bank-targets", emb, "--out", str(tmp_path / "b.tsv"),
+            ],
+        }[command]
+        assert main([command, *files, flag, value]) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_non_positive_l2n_coeff_is_usage_error(self, tmp_path, value):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.eye(4)), sim)
+        code = main(["normalize", "--input", str(sim), "--method", "l2n",
+                     "--coeff", value, "--out", str(tmp_path / "o.sim")])
+        assert code == 1
+        assert not (tmp_path / "o.sim").exists()
+
+    def test_list_flag_entries_out_of_range_are_usage_errors(self, tmp_path):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.eye(4)), sim)
+        write_ground_truth(GroundTruth.identity(4), tmp_path / "gt.txt")
+        gt, out = str(tmp_path / "gt.txt"), str(tmp_path / "o.txt")
+        for Ks in ("0", "1,0", "-5"):
+            assert main(["evaluate", "--sim", str(sim), "--gt", gt, "--Ks", Ks, "--out", out]) == 1
+        for taus in ("0", "0.1,-0.1", "nan"):
+            assert main(["sweep-tau", "--sim", str(sim), "--gt", gt, "--taus", taus, "--out", out]) == 1
+        for fractions in ("0", "0.5,1.5", ","):
+            emb = str(tmp_path / "missing.emb")  # never read: the flag fails first
+            assert main(["banksweep", "--queries", emb, "--targets", emb, "--gt", gt,
+                         "--bank-queries", emb, "--bank-targets", emb,
+                         "--fractions", fractions, "--out", out]) == 1
+        assert not (tmp_path / "o.txt").exists()
+        # a K beyond the file's columns is a property of the data
+        assert main(["evaluate", "--sim", str(sim), "--gt", gt, "--Ks", "5", "--out", out]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
+    def test_invalid_eps_rel_is_usage_error(self, tmp_path, value):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.eye(4)), sim)
+        out = tmp_path / "d.tsv"
+        assert main(["diagnose", "--sim", str(sim), "--eps-rel", value, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["diagnose", "--sim", str(sim), "--eps-rel", "0", "--out", str(out)]) == 0
+
     def test_malformed_ground_truth_is_data_error(self, tmp_path):
         sim = tmp_path / "s.sim"
         write_similarity(SimilarityMatrix(np.eye(2)), sim)
@@ -289,3 +356,72 @@ class TestExitCodes:
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
+
+
+_SRC = str(Path(hubkit.__file__).resolve().parents[1])
+_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _run_python(code: str, cwd, **env_vars) -> str:
+    """Run ``code`` in a fresh interpreter that imports hubkit from this
+    source tree, with no thread-pool variable set except ``env_vars``."""
+    env = {k: v for k, v in os.environ.items() if k not in _POOL_VARS + ("HUBKIT_THREADS",)}
+    env.update(env_vars, PYTHONPATH=_SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestStartup:
+    # Records the thread-pool variables at the moment numpy's import begins.
+    _PROBE = """
+import json, os, sys
+seen = {}
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+        return None
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Probe())
+import hubkit.cli
+print(json.dumps(seen))
+"""
+
+    @pytest.mark.parametrize(
+        ("env_vars", "expected"),
+        [
+            ({"HUBKIT_THREADS": "1"}, ("1", "1")),
+            ({"HUBKIT_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, ("2", "1")),  # explicit wins
+            ({}, (None, None)),
+        ],
+    )
+    def test_thread_cap_is_set_before_numpy_loads(self, tmp_path, env_vars, expected):
+        seen = json.loads(_run_python(self._PROBE, tmp_path, **env_vars))
+        assert (seen["OPENBLAS_NUM_THREADS"], seen["OMP_NUM_THREADS"]) == expected
+
+    def test_numpy_only_subcommands_never_load_scipy(self, tmp_path):
+        code = """
+import sys
+import hubkit
+print("import", "scipy" in sys.modules)
+from hubkit.cli import main
+steps = [
+    ["synth", "--pairs", "30", "--dim", "8", "--out-queries", "q.emb", "--out-targets", "t.emb",
+     "--out-gt", "gt.txt", "--out-bank-queries", "bq.emb", "--out-bank-targets", "bt.emb"],
+    ["sim", "--queries", "q.emb", "--targets", "t.emb", "--out", "raw.sim"],
+    ["sim", "--queries", "bq.emb", "--targets", "t.emb", "--out", "bq_t.sim"],
+    ["sim", "--queries", "bq.emb", "--targets", "bt.emb", "--out", "bq_bt.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "sn", "--out", "sn.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "dbsn", "--bank-targets-sim", "bq_t.sim",
+     "--bank-bank-sim", "bq_bt.sim", "--out", "dbsn.sim"],
+    ["evaluate", "--sim", "dbsn.sim", "--gt", "gt.txt", "--skew-k", "3", "--out", "r.json"],
+    ["diagnose", "--sim", "sn.sim", "--k", "3", "--out", "d.tsv"],
+]
+print("codes", [main(argv) for argv in steps])
+print("pipeline", "scipy" in sys.modules)
+"""
+        out = _run_python(code, tmp_path).split("\n")
+        assert out[:3] == ["import False", "codes [0, 0, 0, 0, 0, 0, 0, 0]", "pipeline False"]

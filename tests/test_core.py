@@ -21,8 +21,12 @@ from hubkit import (
     ZeroVectorRow,
     cosine_similarity_matrix,
     l2_normalize,
+    read_embeddings,
+    read_similarity,
     row_argsort_desc,
     row_topk_desc,
+    write_embeddings,
+    write_similarity,
 )
 from hubkit.errors import KOutOfRange
 
@@ -275,10 +279,11 @@ class TestContainers:
         assert S.values[0, 0] == 0.1 and R.order[0, 0] == 1
         assert S.with_values(values).values is not values
 
-    def test_library_results_are_not_copied(self, monkeypatch):
+    def test_library_results_are_not_copied(self, monkeypatch, tmp_path):
         """Fresh results are frozen in place: no second m x n buffer."""
         monkeypatch.setenv("HUBKIT_THREADS", "1")  # one block's temporaries at a time
         Q = EmbeddingSet(np.random.default_rng(10).standard_normal((1000, 8)))
+        write_embeddings(Q, tmp_path / "q.emb")
         tracemalloc.start()
         try:
             S = cosine_similarity_matrix(Q, Q)
@@ -286,10 +291,21 @@ class TestContainers:
             tracemalloc.reset_peak()
             R = row_argsort_desc(S)
             _, rank_peak = tracemalloc.get_traced_memory()
+            write_similarity(S, tmp_path / "s.sim")
+            read_peaks = []
+            for read, path in ((read_similarity, "s.sim"), (read_embeddings, "q.emb")):
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                loaded = read(tmp_path / path)
+                read_peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
         assert sim_peak < 1.5 * S.values.nbytes
         assert rank_peak - S.values.nbytes < 1.5 * R.order.nbytes
-        for arr in (S.values, R.order):
+        # the float32 file contents (half a buffer) and one float64 buffer;
+        # a copy of the converted values would make it two float64 buffers
+        assert read_peaks[0] < 1.75 * S.values.nbytes
+        assert read_peaks[1] < 1.75 * Q.data.nbytes
+        for arr in (S.values, R.order, loaded.data):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
