@@ -22,9 +22,9 @@ the hubkit package applies the BLAS cap, before numpy loads, so it holds
 for the library as well as here.  All solver loops are single-threaded
 either way.
 
-Only emd, banksweep, and normalize with --method dis, dualis, otn, hn, or
-is with --bank-targets-sim import scipy; every other subcommand runs on
-numpy alone, which keeps process start-up short.
+Only emd, banksweep, and normalize with --method dis, dualis, otn, l2n,
+hn, or is with --bank-targets-sim import scipy; every other subcommand runs
+on numpy alone, which keeps process start-up short.
 """
 
 import argparse
@@ -208,7 +208,6 @@ def _cmd_diagnose(args) -> int:
     from . import io
     from .core import row_topk_desc
     from .diagnostics import k_occurrence, skewness
-    from .errors import IoFailure
     from .sinkhorn import TransportPlan
     from .variants import sparsity
 
@@ -236,11 +235,7 @@ def _cmd_diagnose(args) -> int:
     lines = [f"{int(v)}\t{int(c)}" for v, c in zip(values, freqs)]
     lines.append(f"skewness\t{skew:.10g}")
     lines.append(f"sparsity\t{frac:.10g}")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(args.out, str(exc)) from exc
+    io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 
@@ -260,7 +255,6 @@ def _cmd_emd(args) -> int:
 
 def _cmd_sweep_tau(args) -> int:
     from . import io
-    from .errors import IoFailure
     from .retrieval import evaluate
     from .scaling import inverted_softmax
     from .sinkhorn import SinkhornConfig, sn_normalize
@@ -276,11 +270,7 @@ def _cmd_sweep_tau(args) -> int:
                 normalized = sn_normalize(S, SinkhornConfig(tau=tau, max_iters=args.iters))
             report = evaluate(normalized, gt, [1], normalization=method)
             lines.append(f"{tau:g}\t{method}\t{report.r_at[1]:.4f}")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(args.out, str(exc)) from exc
+    io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 
@@ -288,7 +278,6 @@ def _cmd_banksweep(args) -> int:
     from . import io
     from .core import EmbeddingSet, Role, cosine_similarity_matrix, row_topk_desc
     from .diagnostics import EmdConfig, emd, k_occurrence, skewness
-    from .errors import IoFailure
     from .retrieval import evaluate
     from .scaling import apply_hubness, is_hubness
     from .sinkhorn import SinkhornConfig, dbsn, estimate_target_hubness
@@ -324,11 +313,7 @@ def _cmd_banksweep(args) -> int:
                 warnings.simplefilter("ignore")
                 skew = skewness(k_occurrence(row_topk_desc(normalized, 1), 1, targets=normalized.cols))
             lines.append(f"{fraction:g}\t{method}\t{report.r_at[1]:.4f}\t{skew:.6f}\t{gap:.6f}")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(args.out, str(exc)) from exc
+    io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 

@@ -79,16 +79,11 @@ class SinkhornConfig:
     once the plan's marginal violation drops below it.  Feasibility-critical
     callers use tol=1e-8 with a few thousand sweeps; the 10-sweep default is
     the normalization operating point.
-
-    ``log_domain`` must stay True: it states that ``f`` and ``g`` are
-    log-domain potentials (``pi = exp((S + f + g) / tau)``), whatever form
-    the iteration takes internally.
     """
 
     tau: float = 0.01
     max_iters: int = 10
     tol: float = 0.0
-    log_domain: bool = True
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -97,16 +92,15 @@ class SinkhornConfig:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol < 0:
             raise DataError(f"tol must be >= 0, got {self.tol}")
-        if not self.log_domain:
-            raise DataError("only the log-domain solver is provided")
 
 
 @dataclass(frozen=True)
 class TransportPlan:
     """A nonnegative plan with the dual potentials that produced it.
 
-    For entropic plans, ``pi = exp((S + f + g) / tau)`` exactly as stored
-    (the free normalizing constant is absorbed into f).  Plans from
+    For entropic plans, f and g are log-domain potentials, whatever form the
+    iteration took internally: ``pi = exp((S + f + g) / tau)`` exactly as
+    stored (the free normalizing constant is absorbed into f).  Plans from
     non-entropic solvers carry ``f = g = None`` and ``tau = 0``.  The
     library's solvers pass ``_adopt=True`` to hand over a plan they have just
     computed without the defensive copy; any other ``pi`` is copied.
@@ -134,6 +128,14 @@ class TransportPlan:
                 vec = np.asarray(vec, dtype=np.float64).copy()
                 vec.setflags(write=False)
                 object.__setattr__(self, name, vec)
+
+
+def _violation(pi: np.ndarray, a: np.ndarray | None, b: np.ndarray) -> float:
+    """L1 distance of the column sums from b plus, unless a is None, of the row sums from a."""
+    violation = float(np.abs(pi.sum(axis=0) - b).sum())
+    if a is not None:
+        violation += float(np.abs(pi.sum(axis=1) - a).sum())
+    return violation
 
 
 def _check_shapes(S: SimilarityMatrix, marg: Marginals) -> None:
@@ -230,16 +232,13 @@ def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = Sinkhor
     pi += g
     pi /= cfg.tau
     np.exp(pi, out=pi)
-    violation = float(np.abs(pi.sum(axis=0) - marg.b).sum())
-    if marg.a is not None:
-        violation += float(np.abs(pi.sum(axis=1) - marg.a).sum())
     return TransportPlan(
         pi=pi,
         f=f,
         g=g,
         tau=cfg.tau,
         iterations_run=iterations,
-        marginal_violation=violation,
+        marginal_violation=_violation(pi, marg.a, marg.b),
         converged=converged,
         _adopt=True,
     )
@@ -313,7 +312,4 @@ def marginal_violation(plan: TransportPlan, marg: Marginals) -> float:
             f"plan shape {pi.shape} vs marginals "
             f"({'free' if marg.a is None else marg.a.shape[0]}, {marg.b.shape[0]})"
         )
-    violation = float(np.abs(pi.sum(axis=0) - marg.b).sum())
-    if marg.a is not None:
-        violation += float(np.abs(pi.sum(axis=1) - marg.a).sum())
-    return violation
+    return _violation(pi, marg.a, marg.b)

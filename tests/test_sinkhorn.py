@@ -110,8 +110,6 @@ class TestMarginals:
             SinkhornConfig(tau=0.0)
         with pytest.raises(DataError):
             SinkhornConfig(max_iters=0)
-        with pytest.raises(DataError):
-            SinkhornConfig(log_domain=False)
 
 
 class TestSinkhorn:
