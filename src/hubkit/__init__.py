@@ -53,7 +53,6 @@ from .errors import (
     IoFailure,
     KOutOfRange,
     LengthMismatch,
-    NonConvergence,
     NonFiniteInput,
     NonPositiveTau,
     RowMismatch,
@@ -99,12 +98,11 @@ from .sinkhorn import (
     sn_normalize,
 )
 from .synth import SynthConfig, generate_banks, generate_paired
-from .variants import AnnealSchedule, hn, hn_normalize, l2n, otn, sparsity
+from .variants import hn, hn_normalize, l2n, otn, sparsity
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealSchedule",
     "BadMagic",
     "ColMismatch",
     "DISConfig",
@@ -124,7 +122,6 @@ __all__ = [
     "KOutOfRange",
     "LengthMismatch",
     "Marginals",
-    "NonConvergence",
     "NonFiniteInput",
     "NonPositiveTau",
     "RankMatrix",

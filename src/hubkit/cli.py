@@ -6,7 +6,8 @@ histogram, skewness, sparsity), emd (distribution gap), sweep-tau
 (temperature study table), banksweep (bank-size study table).
 
 Exit codes: 0 success, 1 usage error (bad or missing flags), 2 data error
-(unreadable or malformed inputs).  Flag values out of range are usage
+(unreadable or malformed inputs, or a result with a value beyond float32's
+range, which is not written).  Flag values out of range are usage
 errors: a non-positive --pairs, --dim, --iters, --k, --skew-k, --subsample,
 --repeats, --tau, --tau1, --tau2, --coeff, or --Ks/--taus entry; a negative
 --seed; a negative or non-finite --noise, --gap, --bank-shift or --eps-rel;
@@ -80,10 +81,82 @@ def _list_of(entry):
     return convert
 
 
-def _require(args, names: list[str], method: str) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_").lstrip("_"), None) is None:
-            raise _UsageError(f"--{name} is required for --method {method}")
+def _method_table() -> dict:
+    """normalize's methods in --method order: name -> (default --tau, forms).
+
+    A form is (bank flags, call).  ``call(S, *banks, tau, args)`` gets the
+    bank matrices the flags name, in that order, and returns the normalized
+    matrix.  A method runs its first form whose bank flags are all given:
+    ``is`` and ``sn`` list their --bank-targets-sim form before the
+    bank-free one.
+    """
+    from .scaling import (
+        DISConfig,
+        DualISConfig,
+        apply_hubness,
+        dual_inverted_softmax,
+        dynamic_inverted_softmax,
+        inverted_softmax,
+        is_hubness,
+    )
+    from .sinkhorn import Marginals, SinkhornConfig, dbsn, estimate_target_hubness, sn_normalize
+    from .variants import hn_normalize, l2n, otn
+
+    def sn_cfg(tau, args):
+        return SinkhornConfig(tau=tau, max_iters=args.iters)
+
+    def uniform(S):
+        return Marginals.uniform(S.rows, S.cols)
+
+    bank = ("bank_targets_sim",)
+    return {
+        "none": (0.01, [((), lambda S, tau, args: S)]),
+        "is": (0.02, [
+            (bank, lambda S, B, tau, args: apply_hubness(S, is_hubness(B, tau))),
+            ((), lambda S, tau, args: inverted_softmax(S, tau)),
+        ]),
+        "dis": (0.02, [(bank, lambda S, B, tau, args: dynamic_inverted_softmax(S, B, DISConfig(k=args.k), tau))]),
+        "dualis": (0.01, [
+            (("bank_targets_sim", "tbank_targets_sim"),
+             lambda S, Bq, Bt, tau, args: dual_inverted_softmax(S, Bq, Bt, DualISConfig(args.tau1, args.tau2))),
+        ]),
+        "sn": (0.01, [
+            (bank, lambda S, B, tau, args: apply_hubness(S, estimate_target_hubness(B, sn_cfg(tau, args)))),
+            ((), lambda S, tau, args: sn_normalize(S, sn_cfg(tau, args))),
+        ]),
+        "dbsn": (0.01, [
+            (("bank_targets_sim", "bank_bank_sim"), lambda S, Bt, Bb, tau, args: dbsn(S, Bt, Bb, sn_cfg(tau, args))),
+        ]),
+        "otn": (0.01, [((), lambda S, tau, args: S.with_values(otn(S, uniform(S)).pi))]),
+        "l2n": (0.01, [((), lambda S, tau, args: S.with_values(l2n(S, uniform(S), coeff=args.coeff).pi))]),
+        "hn": (0.01, [((), lambda S, tau, args: hn_normalize(S, literal=args.hn_literal))]),
+    }
+
+
+def _method(name: str, given) -> tuple:
+    """(default tau, bank flags, call) of the form of ``name`` that runs when
+    the bank flags in ``given`` are set; a missing bank flag is a usage error."""
+    tau, forms = _method_table()[name]
+    for banks, call in forms:
+        missing = [flag for flag in banks if flag not in given]
+        if not missing:
+            return tau, banks, call
+    raise _UsageError(f"--{missing[0].replace('_', '-')} is required for --method {name}")
+
+
+def _occurrence_skew(S, k: int) -> tuple:
+    """S's top-k occurrence counts and their skewness; constant counts
+    read 0 without a ZeroVarianceWarning."""
+    import warnings
+
+    from .core import row_topk_desc
+    from .diagnostics import k_occurrence, skewness
+    from .errors import ZeroVarianceWarning
+
+    occ = k_occurrence(row_topk_desc(S, k), k, targets=S.cols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroVarianceWarning)
+        return occ, skewness(occ)
 
 
 def _cmd_synth(args) -> int:
@@ -123,82 +196,24 @@ def _cmd_sim(args) -> int:
     return 0
 
 
-def _default_tau(method: str, tau) -> float:
-    if tau is not None:
-        return tau
-    return 0.02 if method in ("is", "dis") else 0.01
-
-
 def _cmd_normalize(args) -> int:
     from . import io
-    from .scaling import (
-        DISConfig,
-        DualISConfig,
-        apply_hubness,
-        dual_inverted_softmax,
-        dynamic_inverted_softmax,
-        inverted_softmax,
-        is_hubness,
-    )
-    from .sinkhorn import Marginals, SinkhornConfig, dbsn, estimate_target_hubness, sn_normalize
-    from .variants import hn_normalize, l2n, otn
 
+    flags = ("bank_targets_sim", "bank_bank_sim", "tbank_targets_sim")
+    tau, banks, call = _method(args.method, {flag for flag in flags if getattr(args, flag) is not None})
     S = io.read_similarity(args.input)
-    method = args.method
-    if method == "none":
-        out = S
-    elif method == "is":
-        tau = _default_tau(method, args.tau)
-        if args.bank_targets_sim is not None:
-            bank = io.read_similarity(args.bank_targets_sim)
-            out = apply_hubness(S, is_hubness(bank, tau))
-        else:
-            out = inverted_softmax(S, tau)
-    elif method == "dis":
-        _require(args, ["bank-targets-sim"], method)
-        bank = io.read_similarity(args.bank_targets_sim)
-        out = dynamic_inverted_softmax(S, bank, DISConfig(k=args.k), _default_tau(method, args.tau))
-    elif method == "dualis":
-        _require(args, ["bank-targets-sim", "tbank-targets-sim"], method)
-        qbank = io.read_similarity(args.bank_targets_sim)
-        tbank = io.read_similarity(args.tbank_targets_sim)
-        out = dual_inverted_softmax(S, qbank, tbank, DualISConfig(tau1=args.tau1, tau2=args.tau2))
-    elif method == "sn":
-        cfg = SinkhornConfig(tau=_default_tau(method, args.tau), max_iters=args.iters)
-        if args.bank_targets_sim is not None:
-            bank = io.read_similarity(args.bank_targets_sim)
-            out = apply_hubness(S, estimate_target_hubness(bank, cfg))
-        else:
-            out = sn_normalize(S, cfg)
-    elif method == "dbsn":
-        _require(args, ["bank-targets-sim", "bank-bank-sim"], method)
-        cfg = SinkhornConfig(tau=_default_tau(method, args.tau), max_iters=args.iters)
-        bank_targets = io.read_similarity(args.bank_targets_sim)
-        bank_bank = io.read_similarity(args.bank_bank_sim)
-        out = dbsn(S, bank_targets, bank_bank, cfg)
-    elif method == "otn":
-        plan = otn(S, Marginals.uniform(S.rows, S.cols))
-        out = S.with_values(plan.pi)
-    elif method == "l2n":
-        plan = l2n(S, Marginals.uniform(S.rows, S.cols), coeff=args.coeff)
-        out = S.with_values(plan.pi)
-    else:
-        out = hn_normalize(S, literal=args.hn_literal)
-    io.write_similarity(out, args.out)
+    matrices = [io.read_similarity(getattr(args, flag)) for flag in banks]
+    io.write_similarity(call(S, *matrices, tau if args.tau is None else args.tau, args), args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     from . import io
-    from .core import row_topk_desc
-    from .diagnostics import k_occurrence, skewness
     from .retrieval import evaluate
 
     S = io.read_similarity(args.sim)
     gt = io.read_ground_truth(args.gt)
-    skew = None
-    if args.skew_k is not None:
-        skew = skewness(k_occurrence(row_topk_desc(S, args.skew_k), args.skew_k, targets=S.cols))
+    skew = None if args.skew_k is None else _occurrence_skew(S, args.skew_k)[1]
     report = evaluate(S, gt, args.Ks, skew=skew, normalization=args.method, params={})
     io.write_report(report, args.out)
     return 0
@@ -206,20 +221,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from . import io
-    from .core import row_topk_desc
-    from .diagnostics import k_occurrence, skewness
     from .sinkhorn import TransportPlan
     from .variants import sparsity
 
     import numpy as np
 
     S = io.read_similarity(args.sim)
-    occ = k_occurrence(row_topk_desc(S, args.k), args.k, targets=S.cols)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        skew = skewness(occ)
+    occ, skew = _occurrence_skew(S, args.k)
     # S.values is already read-only, so the plan can share it without a copy.
     holder = TransportPlan(
         pi=S.values,
@@ -256,19 +264,14 @@ def _cmd_emd(args) -> int:
 def _cmd_sweep_tau(args) -> int:
     from . import io
     from .retrieval import evaluate
-    from .scaling import inverted_softmax
-    from .sinkhorn import SinkhornConfig, sn_normalize
 
     S = io.read_similarity(args.sim)
     gt = io.read_ground_truth(args.gt)
     lines = []
     for tau in args.taus:
         for method in ("is", "sn"):
-            if method == "is":
-                normalized = inverted_softmax(S, tau)
-            else:
-                normalized = sn_normalize(S, SinkhornConfig(tau=tau, max_iters=args.iters))
-            report = evaluate(normalized, gt, [1], normalization=method)
+            call = _method(method, ())[2]
+            report = evaluate(call(S, tau, args), gt, [1], normalization=method)
             lines.append(f"{tau:g}\t{method}\t{report.r_at[1]:.4f}")
     io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
@@ -276,11 +279,9 @@ def _cmd_sweep_tau(args) -> int:
 
 def _cmd_banksweep(args) -> int:
     from . import io
-    from .core import EmbeddingSet, Role, cosine_similarity_matrix, row_topk_desc
-    from .diagnostics import EmdConfig, emd, k_occurrence, skewness
+    from .core import EmbeddingSet, Role, cosine_similarity_matrix
+    from .diagnostics import EmdConfig, emd
     from .retrieval import evaluate
-    from .scaling import apply_hubness, is_hubness
-    from .sinkhorn import SinkhornConfig, dbsn, estimate_target_hubness
 
     Q = io.read_embeddings(args.queries, role=Role.QUERY)
     T = io.read_embeddings(args.targets, role=Role.TARGET)
@@ -288,7 +289,6 @@ def _cmd_banksweep(args) -> int:
     Bt = io.read_embeddings(args.bank_targets, role=Role.TARGET_BANK)
     gt = io.read_ground_truth(args.gt)
     S = cosine_similarity_matrix(Q, T)
-    cfg = SinkhornConfig(tau=args.tau, max_iters=args.iters)
     emd_cfg = EmdConfig(subsample=args.subsample, repeats=args.repeats, seed=args.seed)
     lines = []
     for fraction in args.fractions:
@@ -296,22 +296,17 @@ def _cmd_banksweep(args) -> int:
         nt = max(1, int(fraction * Bt.count))
         bq = EmbeddingSet(Bq.data[:nq], role=Role.QUERY_BANK)
         bt = EmbeddingSet(Bt.data[:nt], role=Role.TARGET_BANK)
-        S_bank_targets = cosine_similarity_matrix(bq, T)
-        S_bank_bank = cosine_similarity_matrix(bq, bt)
+        banks = {
+            "bank_targets_sim": cosine_similarity_matrix(bq, T),
+            "bank_bank_sim": cosine_similarity_matrix(bq, bt),
+        }
         gap = emd(bq, T, emd_cfg)
         for method in ("is", "sn", "dbsn"):
-            if method == "is":
-                normalized = apply_hubness(S, is_hubness(S_bank_targets, tau=0.02))
-            elif method == "sn":
-                normalized = apply_hubness(S, estimate_target_hubness(S_bank_targets, cfg))
-            else:
-                normalized = dbsn(S, S_bank_targets, S_bank_bank, cfg)
+            # IS keeps its default temperature; --tau sets SN and DBSN.
+            tau, flags, call = _method(method, banks)
+            normalized = call(S, *(banks[flag] for flag in flags), tau if method == "is" else args.tau, args)
             report = evaluate(normalized, gt, [1], normalization=method)
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                skew = skewness(k_occurrence(row_topk_desc(normalized, 1), 1, targets=normalized.cols))
+            skew = _occurrence_skew(normalized, 1)[1]
             lines.append(f"{fraction:g}\t{method}\t{report.r_at[1]:.4f}\t{skew:.6f}\t{gap:.6f}")
     io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
@@ -347,11 +342,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="apply one normalization method to a similarity file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["none", "is", "dis", "dualis", "sn", "dbsn", "otn", "l2n", "hn"],
-    )
+    p.add_argument("--method", required=True, choices=list(_method_table()))
     p.add_argument("--tau", type=_positive_float, default=None, help="default 0.02 for is/dis, 0.01 for sn/dbsn")
     p.add_argument("--tau1", type=_positive_float, default=0.02)
     p.add_argument("--tau2", type=_positive_float, default=0.02)
@@ -404,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bank-queries", required=True)
     p.add_argument("--bank-targets", required=True)
     p.add_argument("--fractions", type=_list_of(_fraction), default="0.1,0.25,0.5,1.0")
-    p.add_argument("--tau", type=_positive_float, default=0.01)
+    p.add_argument("--tau", type=_positive_float, default=0.01, help="SN/DBSN temperature; IS runs at 0.02")
     p.add_argument("--iters", type=_positive_int, default=10)
     p.add_argument("--subsample", type=_positive_int, default=256)
     p.add_argument("--repeats", type=_positive_int, default=8)

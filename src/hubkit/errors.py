@@ -80,19 +80,6 @@ class EmptyPlan(DataError):
     """A transport plan with zero entries has no sparsity."""
 
 
-class NonConvergence(HubkitError, RuntimeError):
-    """An iterative solver exhausted its sweep budget.
-
-    Solvers that can return a usable best iterate do so with a flag instead
-    of raising; this type exists for callers that demand convergence.
-    """
-
-    def __init__(self, sweeps: int, residual: float):
-        self.sweeps = sweeps
-        self.residual = residual
-        super().__init__(f"no convergence after {sweeps} sweeps (residual {residual:.3e})")
-
-
 class FileFormatError(HubkitError, IOError):
     """Base class for binary/report file problems."""
 

@@ -5,6 +5,8 @@ little-endian integers, then rows*dim IEEE-754 float32 little-endian values
 in row-major order.  SIM1 (similarity matrices) is identical with magic
 ``SIM1`` and a rows/cols header.  Values are float32 on disk and float64 in
 memory; a write-then-read round trip is bit-exact at single precision.
+Writers raise ``NonFiniteInput``, and write nothing, when a value is NaN,
+infinite, or beyond float32's range.
 
 Readers validate before returning anything: wrong magic, truncated payloads,
 oversized payloads, and zero-size headers are all hard errors naming the
@@ -17,7 +19,7 @@ import struct
 import numpy as np
 
 from .core import EmbeddingSet, Role, SimilarityMatrix, l2_normalize
-from .errors import BadMagic, DataError, IoFailure, SizeMismatch, TruncatedFile
+from .errors import BadMagic, DataError, IoFailure, NonFiniteInput, SizeMismatch, TruncatedFile
 from .retrieval import GroundTruth, RetrievalReport
 
 _HEADER = struct.Struct("<4sII")
@@ -70,8 +72,12 @@ def _read_matrix(path, magic: bytes) -> np.ndarray:
 
 def _write_matrix(path, magic: bytes, values: np.ndarray) -> None:
     rows, cols = values.shape
-    payload = _HEADER.pack(magic, rows, cols) + np.ascontiguousarray(values, dtype="<f4").tobytes()
-    _write_file(path, payload)
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(values, dtype="<f4")
+    bad = data.size - np.count_nonzero(np.isfinite(data))
+    if bad:
+        raise NonFiniteInput(f"{path}: {bad} of {data.size} values are not finite in float32; nothing written")
+    _write_file(path, _HEADER.pack(magic, rows, cols) + data.tobytes())
 
 
 def read_embeddings(path, renormalize: bool = False, role: Role = Role.QUERY) -> EmbeddingSet:
@@ -119,27 +125,27 @@ def write_report(report: RetrievalReport, path) -> None:
     doc["normalization"] = report.normalization
     doc["params"] = report.params
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except (OSError, TypeError) as exc:
+        text = json.dumps(doc, indent=2) + "\n"
+    except TypeError as exc:
         raise IoFailure(path, str(exc)) from exc
+    _write_file(path, text.encode("utf-8"))
 
 
 def read_ground_truth(path) -> GroundTruth:
     """Parse a text file with one line of comma-separated target indices per
     query; blank lines are skipped.
 
-    A line that is not a list of nonnegative integers raises ``DataError``
-    naming the file and the 1-based line number.
+    Lines end at LF, CRLF or CR.  A file that is not UTF-8, or a
+    line that is not a list of nonnegative integers, raises ``DataError``
+    naming the file (and the 1-based line number).
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-    except OSError as exc:
-        raise IoFailure(path, str(exc)) from exc
+        text = _read_file(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} (byte {exc.start}): not UTF-8 text") from exc
     pairs = []
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        line = line.strip()
         if not line:
             continue
         try:
@@ -155,9 +161,5 @@ def read_ground_truth(path) -> GroundTruth:
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
     """Write one line per query: its target indices, ascending, comma-joined."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for pair in gt.pairs:
-                fh.write(",".join(str(j) for j in sorted(pair)) + "\n")
-    except OSError as exc:
-        raise IoFailure(path, str(exc)) from exc
+    text = "".join(",".join(str(j) for j in sorted(pair)) + "\n" for pair in gt.pairs)
+    _write_file(path, text.encode("utf-8"))

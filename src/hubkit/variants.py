@@ -14,36 +14,11 @@ All three land on (or near) a vertex of the polytope, so their plans are
 overwhelmingly sparse, in contrast to the strictly positive entropic plan.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SimilarityMatrix
-from .errors import DataError, EmptyPlan, NonPositiveTau
+from .errors import DataError, EmptyPlan
 from .sinkhorn import Marginals, TransportPlan, _check_shapes, _violation
-
-
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Temperature ladder that ``otn`` accepts for compatibility: validated,
-    but the exact solvers read none of its fields."""
-
-    tau_start: float = 0.1
-    decay: float = 0.5
-    tau_min: float = 1e-3
-    inner_iters: int = 200
-
-    def __post_init__(self):
-        if self.tau_start <= 0:
-            raise NonPositiveTau(self.tau_start)
-        if self.tau_min <= 0:
-            raise NonPositiveTau(self.tau_min)
-        if not self.tau_min < self.tau_start:
-            raise DataError(f"tau_min {self.tau_min} must be below tau_start {self.tau_start}")
-        if not 0.0 < self.decay < 1.0:
-            raise DataError(f"decay must lie in (0,1), got {self.decay}")
-        if self.inner_iters < 1:
-            raise DataError(f"inner_iters must be >= 1, got {self.inner_iters}")
 
 
 def _plan(pi: np.ndarray, iterations: int, violation: float, converged: bool = True) -> TransportPlan:
@@ -52,9 +27,7 @@ def _plan(pi: np.ndarray, iterations: int, violation: float, converged: bool = T
                          marginal_violation=violation, converged=converged, _adopt=True)
 
 
-def otn(
-    S: SimilarityMatrix, marg: Marginals, sched: AnnealSchedule = AnnealSchedule()
-) -> TransportPlan:
+def otn(S: SimilarityMatrix, marg: Marginals) -> TransportPlan:
     """Linear OT: an exact vertex of the transportation polytope maximizing ``<S, pi>``.
 
     Requires both marginals.  Under uniform square marginals the optimum is a
@@ -63,8 +36,7 @@ def otn(
     the (m + n)-row equality system, with S scaled to max |S| = 1 and both
     feasibility tolerances at their floor of 1e-10, so the objective is
     optimal to about 1e-10 * max |S|; its simplex vertex meets both marginals
-    to roundoff.  ``sched`` is accepted for compatibility and unused.  The
-    plan carries no dual potentials.
+    to roundoff.  The plan carries no dual potentials.
     """
     if marg.a is None:
         raise DataError("otn requires both marginals")

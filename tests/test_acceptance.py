@@ -336,7 +336,7 @@ class TestVariantOracles:
         Q, T, _ = hk.generate_paired(hk.SynthConfig(n_pairs=200, seed=0))
         S = hk.cosine_similarity_matrix(Q, T)
         marg = hk.Marginals.uniform(200, 200)
-        s_otn = hk.sparsity(hk.otn(S, marg, hk.AnnealSchedule(tau_min=1e-4)))
+        s_otn = hk.sparsity(hk.otn(S, marg))
         s_hn = hk.sparsity(hk.hn(S))
         s_l2n = hk.sparsity(hk.l2n(S, marg))
         sn_plan = hk.sinkhorn(S, marg, hk.SinkhornConfig(tau=0.05, max_iters=5000, tol=1e-9))

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hubkit
+import hubkit as hk
 from hubkit import (
     GroundTruth,
     SimilarityMatrix,
@@ -189,6 +190,114 @@ class TestNormalizeMethods:
         assert np.all(np.isfinite(read_similarity(out).values))
 
 
+def _uniform(S):
+    return hk.Marginals.uniform(S.rows, S.cols)
+
+
+def _sn(tau=0.01, iters=10):
+    return hk.SinkhornConfig(tau=tau, max_iters=iters)
+
+
+# (id, extra normalize flags, library call on the read inputs).  ``B`` holds
+# the read bank files: qt (query bank x targets), qb (query bank x target
+# bank), bt (target bank x targets).
+_NORMALIZE_CASES = [
+    ("none", ["--method", "none"], lambda S, B: S),
+    ("is", ["--method", "is"], lambda S, B: hk.inverted_softmax(S, 0.02)),
+    ("is-tau", ["--method", "is", "--tau", "0.05"], lambda S, B: hk.inverted_softmax(S, 0.05)),
+    ("is-bank", ["--method", "is", "--bank-targets-sim", "qt"],
+     lambda S, B: hk.apply_hubness(S, hk.is_hubness(B["qt"], 0.02))),
+    ("dis", ["--method", "dis", "--bank-targets-sim", "qt", "--k", "2"],
+     lambda S, B: hk.dynamic_inverted_softmax(S, B["qt"], hk.DISConfig(k=2), 0.02)),
+    ("dualis", ["--method", "dualis", "--bank-targets-sim", "qt", "--tbank-targets-sim", "bt"],
+     lambda S, B: hk.dual_inverted_softmax(S, B["qt"], B["bt"], hk.DualISConfig(0.02, 0.02))),
+    ("sn", ["--method", "sn"], lambda S, B: hk.sn_normalize(S, _sn())),
+    ("sn-bank", ["--method", "sn", "--bank-targets-sim", "qt"],
+     lambda S, B: hk.apply_hubness(S, hk.estimate_target_hubness(B["qt"], _sn()))),
+    ("dbsn", ["--method", "dbsn", "--bank-targets-sim", "qt", "--bank-bank-sim", "qb"],
+     lambda S, B: hk.dbsn(S, B["qt"], B["qb"], _sn())),
+    ("dbsn-tau", ["--method", "dbsn", "--bank-targets-sim", "qt", "--bank-bank-sim", "qb",
+                  "--tau", "0.05", "--iters", "3"],
+     lambda S, B: hk.dbsn(S, B["qt"], B["qb"], _sn(0.05, 3))),
+    ("otn", ["--method", "otn"], lambda S, B: S.with_values(hk.otn(S, _uniform(S)).pi)),
+    ("l2n", ["--method", "l2n"], lambda S, B: S.with_values(hk.l2n(S, _uniform(S), coeff=100.0).pi)),
+    ("hn", ["--method", "hn"], lambda S, B: hk.hn_normalize(S)),
+    ("hn-literal", ["--method", "hn", "--hn-literal"], lambda S, B: hk.hn_normalize(S, literal=True)),
+]
+
+
+def _skew_at_1(S):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", hk.ZeroVarianceWarning)
+        return hk.skewness(hk.k_occurrence(row_argsort_desc(S), 1))
+
+
+class TestMethodsMatchLibrary:
+    """Each subcommand writes exactly the bytes of the library composition."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("methods")
+        cfg = hk.SynthConfig(dim=16, n_pairs=40, bank_shift=0.3, seed=5)
+        Q, T, gt = hk.generate_paired(cfg)
+        Bq, Bt = hk.generate_banks(cfg, base=(Q, T))
+        for name, emb in (("q", Q), ("t", T), ("bq", Bq), ("bt", Bt)):
+            hk.write_embeddings(emb, out / f"{name}.emb")
+        write_ground_truth(gt, out / "gt.txt")
+        pairs = {"raw": (Q, T), "qt": (Bq, T), "qb": (Bq, Bt), "bt": (Bt, T)}
+        for name, (X, Y) in pairs.items():
+            write_similarity(hk.cosine_similarity_matrix(X, Y), out / f"{name}.sim")
+        return out
+
+    @pytest.mark.parametrize(("flags", "library"), [c[1:] for c in _NORMALIZE_CASES],
+                             ids=[c[0] for c in _NORMALIZE_CASES])
+    def test_normalize_writes_the_library_result(self, data, tmp_path, flags, library):
+        argv = ["normalize", "--input", str(data / "raw.sim"), "--out", str(tmp_path / "cli.sim")]
+        banks = ("qt", "qb", "bt")
+        argv += [str(data / f"{flag}.sim") if flag in banks else flag for flag in flags]
+        assert main(argv) == 0
+        B = {name: read_similarity(data / f"{name}.sim") for name in banks}
+        write_similarity(library(read_similarity(data / "raw.sim"), B), tmp_path / "lib.sim")
+        assert (tmp_path / "cli.sim").read_bytes() == (tmp_path / "lib.sim").read_bytes()
+
+    def test_sweep_tau_rows_are_the_library_composition(self, data, tmp_path):
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep-tau", "--sim", str(data / "raw.sim"), "--gt", str(data / "gt.txt"),
+                     "--taus", "0.1,0.02,0.005", "--iters", "4", "--out", str(out)]) == 0
+        S, gt = read_similarity(data / "raw.sim"), hk.read_ground_truth(data / "gt.txt")
+        expected = ""
+        for tau in (0.1, 0.02, 0.005):
+            for method, normalized in (("is", hk.inverted_softmax(S, tau)), ("sn", hk.sn_normalize(S, _sn(tau, 4)))):
+                expected += f"{tau:g}\t{method}\t{evaluate(normalized, gt, [1]).r_at[1]:.4f}\n"
+        assert out.read_text() == expected
+
+    def test_banksweep_rows_are_the_library_composition(self, data, tmp_path):
+        out = tmp_path / "banks.tsv"
+        assert main(["banksweep", "--queries", str(data / "q.emb"), "--targets", str(data / "t.emb"),
+                     "--gt", str(data / "gt.txt"), "--bank-queries", str(data / "bq.emb"),
+                     "--bank-targets", str(data / "bt.emb"), "--fractions", "0.3,1.0", "--tau", "0.05",
+                     "--iters", "4", "--subsample", "16", "--repeats", "2", "--out", str(out)]) == 0
+        Q, T = hk.read_embeddings(data / "q.emb"), hk.read_embeddings(data / "t.emb")
+        Bq, Bt = hk.read_embeddings(data / "bq.emb"), hk.read_embeddings(data / "bt.emb")
+        gt = hk.read_ground_truth(data / "gt.txt")
+        S = hk.cosine_similarity_matrix(Q, T)
+        expected = ""
+        for fraction in (0.3, 1.0):
+            bq = hk.EmbeddingSet(Bq.data[: max(1, int(fraction * Bq.count))])
+            bt = hk.EmbeddingSet(Bt.data[: max(1, int(fraction * Bt.count))])
+            qt, qb = hk.cosine_similarity_matrix(bq, T), hk.cosine_similarity_matrix(bq, bt)
+            gap = hk.emd(bq, T, hk.EmdConfig(subsample=16, repeats=2, seed=0))
+            rows = [
+                ("is", hk.apply_hubness(S, hk.is_hubness(qt, 0.02))),  # IS stays at 0.02
+                ("sn", hk.apply_hubness(S, hk.estimate_target_hubness(qt, _sn(0.05, 4)))),
+                ("dbsn", hk.dbsn(S, qt, qb, _sn(0.05, 4))),
+            ]
+            for method, normalized in rows:
+                r1 = evaluate(normalized, gt, [1]).r_at[1]
+                expected += f"{fraction:g}\t{method}\t{r1:.4f}\t{_skew_at_1(normalized):.6f}\t{gap:.6f}\n"
+        assert out.read_text() == expected
+
+
 class TestDiagnosticsCommands:
     def test_diagnose_output_shape(self, tmp_path):
         rng = np.random.default_rng(64)
@@ -353,12 +462,33 @@ class TestExitCodes:
         assert main(["evaluate", "--sim", str(sim), "--gt", str(gt),
                      "--Ks", "1", "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_non_utf8_ground_truth_is_data_error(self, tmp_path, capsys):
+        sim = tmp_path / "raw.sim"
+        write_similarity(SimilarityMatrix(np.eye(2)), sim)
+        # the similarity file itself is not UTF-8 text
+        assert main(["evaluate", "--sim", str(sim), "--gt", str(sim),
+                     "--Ks", "1", "--out", str(tmp_path / "r.json")]) == 2
+        assert str(sim) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_values_beyond_float32_are_data_error(self, tmp_path, capsys):
+        assert main(_synth_args(tmp_path, seed=3, banks=True, bank_shift=0.3)) == 0
+        for rows, cols, name in (("q", "t", "raw"), ("bq", "t", "bq_t"), ("bt", "t", "bt_t")):
+            assert main(["sim", "--queries", str(tmp_path / f"{rows}.emb"),
+                         "--targets", str(tmp_path / f"{cols}.emb"), "--out", str(tmp_path / f"{name}.sim")]) == 0
+        out = tmp_path / "dualis.sim"
+        assert main(["normalize", "--input", str(tmp_path / "raw.sim"), "--method", "dualis",
+                     "--tau1", "0.002", "--tau2", "0.002", "--bank-targets-sim", str(tmp_path / "bq_t.sim"),
+                     "--tbank-targets-sim", str(tmp_path / "bt_t.sim"), "--out", str(out)]) == 2
+        assert "not finite in float32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
 
 
-_SRC = str(Path(hubkit.__file__).resolve().parents[1])
+_SRC = str(Path(hk.__file__).resolve().parents[1])
 _POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -414,14 +544,18 @@ steps = [
     ["sim", "--queries", "q.emb", "--targets", "t.emb", "--out", "raw.sim"],
     ["sim", "--queries", "bq.emb", "--targets", "t.emb", "--out", "bq_t.sim"],
     ["sim", "--queries", "bq.emb", "--targets", "bt.emb", "--out", "bq_bt.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "none", "--out", "none.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "is", "--out", "is.sim"],
     ["normalize", "--input", "raw.sim", "--method", "sn", "--out", "sn.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "sn", "--bank-targets-sim", "bq_t.sim", "--out", "snb.sim"],
     ["normalize", "--input", "raw.sim", "--method", "dbsn", "--bank-targets-sim", "bq_t.sim",
      "--bank-bank-sim", "bq_bt.sim", "--out", "dbsn.sim"],
     ["evaluate", "--sim", "dbsn.sim", "--gt", "gt.txt", "--skew-k", "3", "--out", "r.json"],
     ["diagnose", "--sim", "sn.sim", "--k", "3", "--out", "d.tsv"],
+    ["sweep-tau", "--sim", "raw.sim", "--gt", "gt.txt", "--taus", "0.1,0.02", "--out", "sweep.tsv"],
 ]
 print("codes", [main(argv) for argv in steps])
 print("pipeline", "scipy" in sys.modules)
 """
         out = _run_python(code, tmp_path).split("\n")
-        assert out[:3] == ["import False", "codes [0, 0, 0, 0, 0, 0, 0, 0]", "pipeline False"]
+        assert out[:3] == ["import False", "codes [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "pipeline False"]

@@ -125,6 +125,22 @@ class TestFormatValidation:
         with pytest.raises(IoFailure):
             write_embeddings(EmbeddingSet(np.ones((1, 1))), tmp_path)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e300])
+    def test_values_beyond_float32_are_refused(self, tmp_path, value):
+        emb, sim = tmp_path / "e.emb", tmp_path / "s.sim"
+        sim.write_bytes(b"old")
+        with pytest.raises(DataError, match="e.emb"):
+            write_embeddings(EmbeddingSet(np.array([[0.5, value]])), emb)
+        with pytest.raises(DataError, match="s.sim"):
+            write_similarity(SimilarityMatrix(np.array([[0.5, value], [0.0, 1.0]])), sim)
+        assert not emb.exists()
+        assert sim.read_bytes() == b"old"
+
+    def test_float32_max_is_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        write_similarity(SimilarityMatrix(np.array([[top, -top]])), tmp_path / "s.sim")
+        assert read_similarity(tmp_path / "s.sim").values.tolist() == [[top, -top]]
+
 
 class TestSimilarityFiles:
     def test_round_trip(self, tmp_path):
@@ -182,6 +198,12 @@ class TestReportFiles:
         assert doc["normalization"] == "sn"
         assert doc["params"] == {"tau": 0.01, "max_iters": 10}
 
+    def test_unserializable_params_fail_without_a_file(self, tmp_path):
+        report = RetrievalReport(r_at={1: 50.0}, mdr=2.0, mnr=2.0, params={"cfg": object()})
+        with pytest.raises(IoFailure):
+            write_report(report, tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
+
     def test_writes_are_byte_stable(self, tmp_path):
         report = RetrievalReport(r_at={1: 33.0}, mdr=3.0, mnr=4.5, skew=0.1)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -218,6 +240,27 @@ class TestGroundTruthFiles:
         path = tmp_path / "gt.txt"
         path.write_text(" 1, 2 \n0\n")
         assert read_ground_truth(path).pairs == (frozenset({1, 2}), frozenset({0}))
+
+    def test_line_ends(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"0\r\n1\r2\n\r\n3")
+        assert read_ground_truth(path).pairs == tuple(frozenset({j}) for j in range(4))
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x85", "\u2028"])
+    def test_other_line_breaks_do_not_split_lines(self, tmp_path, separator):
+        path = tmp_path / "gt.txt"
+        path.write_text(f"0\n1{separator}2\n", encoding="utf-8", newline="")
+        with pytest.raises(DataError, match="line 2"):
+            read_ground_truth(path)
+        # at the end of a line it is whitespace, as before
+        path.write_text(f"0\n1{separator}\n", encoding="utf-8", newline="")
+        assert read_ground_truth(path).pairs == (frozenset({0}), frozenset({1}))
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"0\n\xff1\n")
+        with pytest.raises(DataError, match="gt.txt"):
+            read_ground_truth(path)
 
     @pytest.mark.parametrize("line", ["x", "1,", "1,,2", "2.5", "-1", "3,-4"])
     def test_bad_line_names_line_number(self, tmp_path, line):

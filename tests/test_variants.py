@@ -9,11 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hubkit import (
-    AnnealSchedule,
     DataError,
     EmptyPlan,
     Marginals,
-    NonPositiveTau,
     SimilarityMatrix,
     hn,
     hn_normalize,
@@ -78,18 +76,6 @@ def _marginal(weights):
 
 
 _weights = st.floats(0.2, 1.0)
-
-
-class TestAnnealSchedule:
-    def test_validation(self):
-        with pytest.raises(NonPositiveTau):
-            AnnealSchedule(tau_start=0.0)
-        with pytest.raises(DataError):
-            AnnealSchedule(tau_start=0.1, tau_min=0.2)
-        with pytest.raises(DataError):
-            AnnealSchedule(decay=1.0)
-        with pytest.raises(DataError):
-            AnnealSchedule(inner_iters=0)
 
 
 class TestOtn:
