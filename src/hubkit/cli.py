@@ -23,9 +23,9 @@ the hubkit package applies the BLAS cap, before numpy loads, so it holds
 for the library as well as here.  All solver loops are single-threaded
 either way.
 
-Only emd, banksweep, and normalize with --method dis, dualis, otn, l2n,
-hn, or is with --bank-targets-sim import scipy; every other subcommand runs
-on numpy alone, which keeps process start-up short.
+Only emd, banksweep, and normalize with --method otn, l2n, or hn import
+scipy; every other subcommand runs on numpy alone, which keeps process
+start-up short.
 """
 
 import argparse
@@ -99,11 +99,14 @@ def _method_table() -> dict:
         inverted_softmax,
         is_hubness,
     )
-    from .sinkhorn import Marginals, SinkhornConfig, dbsn, estimate_target_hubness, sn_normalize
+    from .sinkhorn import Marginals, SinkhornConfig, dbsn, estimate_target_hubness
     from .variants import hn_normalize, l2n, otn
 
     def sn_cfg(tau, args):
         return SinkhornConfig(tau=tau, max_iters=args.iters)
+
+    def sn(S, B, tau, args):
+        return apply_hubness(S, estimate_target_hubness(B, sn_cfg(tau, args)))
 
     def uniform(S):
         return Marginals.uniform(S.rows, S.cols)
@@ -120,10 +123,7 @@ def _method_table() -> dict:
             (("bank_targets_sim", "tbank_targets_sim"),
              lambda S, Bq, Bt, tau, args: dual_inverted_softmax(S, Bq, Bt, DualISConfig(args.tau1, args.tau2))),
         ]),
-        "sn": (0.01, [
-            (bank, lambda S, B, tau, args: apply_hubness(S, estimate_target_hubness(B, sn_cfg(tau, args)))),
-            ((), lambda S, tau, args: sn_normalize(S, sn_cfg(tau, args))),
-        ]),
+        "sn": (0.01, [(bank, sn), ((), lambda S, tau, args: sn(S, S, tau, args))]),
         "dbsn": (0.01, [
             (("bank_targets_sim", "bank_bank_sim"), lambda S, Bt, Bb, tau, args: dbsn(S, Bt, Bb, sn_cfg(tau, args))),
         ]),

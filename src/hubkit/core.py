@@ -51,7 +51,6 @@ class EmbeddingSet:
 
     data: np.ndarray
     role: Role = Role.QUERY
-    ids: tuple[str, ...] | None = None
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
@@ -61,8 +60,6 @@ class EmbeddingSet:
         if not np.all(np.isfinite(data)):
             raise NonFiniteInput("embedding data contains NaN or Inf")
         object.__setattr__(self, "data", _freeze(data, adopt=_adopt))
-        if self.ids is not None and len(self.ids) != data.shape[0]:
-            raise NonFiniteInput(f"{len(self.ids)} ids for {data.shape[0]} rows")
 
     @property
     def count(self) -> int:

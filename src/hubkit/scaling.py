@@ -24,14 +24,12 @@ from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, No
 class HubnessVector:
     """Per-target (or per-query) additive compensation scalars.
 
-    ``values[j]`` is added to column j of a similarity matrix; the additive
-    convention is recorded explicitly so serialized vectors cannot be applied
-    with the wrong sign.
+    ``values[j]`` is added to column j of a similarity matrix (the additive
+    convention above).
     """
 
     values: np.ndarray
     temperature: float
-    convention: str = "additive"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -42,8 +40,6 @@ class HubnessVector:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.convention != "additive":
-            raise NonFiniteInput(f"unsupported convention {self.convention!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +75,24 @@ class DISConfig:
             raise KOutOfRange(self.k, self.k)
 
 
+def _shifted_exp(V: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(exp(V/tau - top), top)``, ``top`` the column maxima of V/tau, in
+    one fresh buffer; no exp argument is positive."""
+    if tau <= 0:
+        raise NonPositiveTau(tau)
+    out = V / tau
+    top = out.max(axis=0)
+    out -= top
+    np.exp(out, out=out)
+    return out, top
+
+
+def _compensation(V: np.ndarray, tau: float, scale: float) -> np.ndarray:
+    """``-scale * logsumexp_i(V_ij / tau)`` per column j."""
+    terms, top = _shifted_exp(V, tau)
+    return -scale * (np.log(terms.sum(axis=0)) + top)
+
+
 def inverted_softmax(S: SimilarityMatrix, tau: float = 0.02) -> SimilarityMatrix:
     """Column-wise softmax over queries at temperature ``tau``.
 
@@ -87,11 +101,7 @@ def inverted_softmax(S: SimilarityMatrix, tau: float = 0.02) -> SimilarityMatrix
     argument ever reaches exp.  The steps are scipy's ``softmax(S / tau,
     axis=0)`` in the same order, done in one buffer, so the result is equal.
     """
-    if tau <= 0:
-        raise NonPositiveTau(tau)
-    out = S.values / tau
-    out -= out.max(axis=0)
-    np.exp(out, out=out)
+    out = _shifted_exp(S.values, tau)[0]
     out /= out.sum(axis=0)
     return S._adopt_values(out)
 
@@ -103,12 +113,7 @@ def is_hubness(S_bank_targets: SimilarityMatrix, tau: float = 0.02) -> HubnessVe
     exponentiating at the same temperature reproduces the inverted softmax
     with the bank in the denominator.
     """
-    from scipy.special import logsumexp
-
-    if tau <= 0:
-        raise NonPositiveTau(tau)
-    values = -tau * logsumexp(S_bank_targets.values / tau, axis=0)
-    return HubnessVector(values, temperature=tau)
+    return HubnessVector(_compensation(S_bank_targets.values, tau, tau), temperature=tau)
 
 
 def apply_hubness(S: SimilarityMatrix, h: HubnessVector) -> SimilarityMatrix:
@@ -142,21 +147,15 @@ def dynamic_inverted_softmax(
     therefore live on different scales inside one row; that is how the
     formula is defined and it is applied as such.
     """
-    from scipy.special import logsumexp
-
-    if tau <= 0:
-        raise NonPositiveTau(tau)
+    h = is_hubness(S_bank_targets, tau).values
     if S.cols != S_bank_targets.cols:
         raise ColMismatch(f"{S.cols} target columns vs {S_bank_targets.cols} bank columns")
     mask = dis_subset(S_bank_targets, cfg)
-    # exp(S/tau) / colsum(exp(S_bank/tau)), evaluated as a single shifted exp.
-    # The query scores are not part of the bank denominator, so the ratio may
-    # exceed 1; at the supported temperatures the exponent stays well inside
-    # float64 range.
-    log_denominator = logsumexp(S_bank_targets.values / tau, axis=0)
-    scaled = np.exp(S.values / tau - log_denominator[None, :])
+    # exp((S + h)/tau) = exp(S/tau) / colsum(exp(S_bank/tau)).  The query
+    # scores are not part of the bank denominator, so the ratio may exceed 1;
+    # at the supported temperatures the exponent stays well inside float64.
     out = S.values.copy()
-    out[:, mask] = scaled[:, mask]
+    out[:, mask] = np.exp((S.values[:, mask] + h[mask]) / tau)
     return S._adopt_values(out)
 
 
@@ -170,20 +169,17 @@ def dual_inverted_softmax(
 
     Factor one scales column j by the query-bank denominator at tau1, factor
     two by the target-bank denominator at tau2.  The product equals
-    ``exp((S - h_bq - h_bt)/lam)`` where the ``h`` terms are lam-scaled
-    logsumexp compensations, so rankings match the additive form at scale
-    ``cfg.lam``.
+    ``exp((S + h_bq + h_bt)/lam)`` over the compensations of
+    :func:`dual_is_compensations` and is computed that way, so rankings match
+    the additive form at scale ``cfg.lam``.
     """
-    from scipy.special import logsumexp
-
     if S_qbank_targets.cols != S.cols:
         raise ColMismatch(f"{S.cols} target columns vs {S_qbank_targets.cols} query-bank columns")
     if S_tbank_targets.cols != S.cols:
         raise ColMismatch(f"{S.cols} target columns vs {S_tbank_targets.cols} target-bank columns")
-    log_q = logsumexp(S_qbank_targets.values / cfg.tau1, axis=0)
-    log_t = logsumexp(S_tbank_targets.values / cfg.tau2, axis=0)
-    log_out = (S.values / cfg.tau1 - log_q[None, :]) + (S.values / cfg.tau2 - log_t[None, :])
-    return S._adopt_values(np.exp(log_out))
+    h_q, h_t = dual_is_compensations(S_qbank_targets, S_tbank_targets, cfg)
+    out = (S.values + h_q.values + h_t.values) / cfg.lam
+    return S._adopt_values(np.exp(out, out=out))
 
 
 def dual_is_compensations(
@@ -197,9 +193,6 @@ def dual_is_compensations(
     ``h[j] = -lam * logsumexp(bank column j / tau)``; the product form above
     equals ``exp((S + h_bq + h_bt) / lam)`` entrywise.
     """
-    from scipy.special import logsumexp
-
-    lam = cfg.lam
-    h_q = -lam * logsumexp(S_qbank_targets.values / cfg.tau1, axis=0)
-    h_t = -lam * logsumexp(S_tbank_targets.values / cfg.tau2, axis=0)
-    return HubnessVector(h_q, temperature=lam), HubnessVector(h_t, temperature=lam)
+    h_q = _compensation(S_qbank_targets.values, cfg.tau1, cfg.lam)
+    h_t = _compensation(S_tbank_targets.values, cfg.tau2, cfg.lam)
+    return HubnessVector(h_q, temperature=cfg.lam), HubnessVector(h_t, temperature=cfg.lam)

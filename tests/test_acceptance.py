@@ -325,7 +325,7 @@ class TestVariantOracles:
         ok = worst_gap <= 1e-3 and worst_fro <= 1e-4 and worst_otn_feas <= 1e-6 and worst_l2n_feas <= 1e-6
         _check(
             11,
-            "annealed OT reaches the vertex optimum and the projection matches "
+            "exact OT reaches the vertex optimum and the projection matches "
             "a gradient-based QP oracle, both feasible",
             ok,
             f"otn gap={worst_gap:.2e} l2n fro={worst_fro:.2e} "

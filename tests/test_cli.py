@@ -544,8 +544,13 @@ steps = [
     ["sim", "--queries", "q.emb", "--targets", "t.emb", "--out", "raw.sim"],
     ["sim", "--queries", "bq.emb", "--targets", "t.emb", "--out", "bq_t.sim"],
     ["sim", "--queries", "bq.emb", "--targets", "bt.emb", "--out", "bq_bt.sim"],
+    ["sim", "--queries", "bt.emb", "--targets", "t.emb", "--out", "bt_t.sim"],
     ["normalize", "--input", "raw.sim", "--method", "none", "--out", "none.sim"],
     ["normalize", "--input", "raw.sim", "--method", "is", "--out", "is.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "is", "--bank-targets-sim", "bq_t.sim", "--out", "isb.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "dis", "--bank-targets-sim", "bq_t.sim", "--out", "dis.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "dualis", "--bank-targets-sim", "bq_t.sim",
+     "--tbank-targets-sim", "bt_t.sim", "--out", "dualis.sim"],
     ["normalize", "--input", "raw.sim", "--method", "sn", "--out", "sn.sim"],
     ["normalize", "--input", "raw.sim", "--method", "sn", "--bank-targets-sim", "bq_t.sim", "--out", "snb.sim"],
     ["normalize", "--input", "raw.sim", "--method", "dbsn", "--bank-targets-sim", "bq_t.sim",
@@ -558,4 +563,4 @@ print("codes", [main(argv) for argv in steps])
 print("pipeline", "scipy" in sys.modules)
 """
         out = _run_python(code, tmp_path).split("\n")
-        assert out[:3] == ["import False", "codes [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "pipeline False"]
+        assert out[:3] == ["import False", f"codes {[0] * 16}", "pipeline False"]

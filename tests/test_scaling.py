@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
 
 from hubkit import (
     ColMismatch,
@@ -118,9 +118,103 @@ class TestHubnessVector:
         cols = np.exp(apply_hubness(S, h).values / 0.05).sum(axis=0)
         np.testing.assert_allclose(cols, 1.0, atol=1e-9)
 
-    def test_additive_convention_enforced(self):
-        with pytest.raises(Exception):
-            HubnessVector(np.zeros(2), temperature=0.02, convention="subtractive")
+
+_TAUS = [1.0, 0.1, 0.02, 0.01, 0.005]
+_TIE_HEAVY = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(-1, 1)
+_WIDTH = st.sampled_from([1.0, 50.0])
+
+
+@st.composite
+def _bank(draw, cols, repeats=(), width=1.0):
+    """A bank matrix of tie-heavy entries scaled by ``width``, often one row,
+    with its columns ``repeats`` appended again at the end."""
+    rows = draw(st.just(1) | st.integers(1, 30))
+    B = draw(hnp.arrays(np.float64, (rows, cols), elements=_TIE_HEAVY)) * width
+    return np.hstack([B, B[:, list(repeats)]])
+
+
+def _assert_near_scipy(h, ref):
+    assert np.all(np.abs(h - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def _assert_same_ranking(ref, out):
+    """Where ``ref`` orders two entries of a row apart by more than 1e-12
+    (relative), ``out`` orders them the same way."""
+    a, b = ref[:, :, None], ref[:, None, :]
+    apart = np.abs(a - b) > 1e-12 * np.maximum(np.abs(a), np.abs(b)) + np.finfo(np.float64).tiny
+    above = (a > b) & apart
+    assert np.all(out[:, :, None] > out[:, None, :], where=above)
+
+
+class TestCompensationsEqualScipy:
+    """The column log-sum-exps come from one shifted-exp kernel; they stay
+    within 1e-14 of scipy's logsumexp, and rankings built on them order
+    entries as the earlier logsumexp formulas did."""
+
+    @given(
+        cols=st.integers(1, 12),
+        data=st.data(),
+        tau=st.sampled_from(_TAUS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_hubness(self, cols, data, tau):
+        repeats = data.draw(st.lists(st.integers(0, cols - 1), max_size=3))
+        B = data.draw(_bank(cols, repeats, data.draw(_WIDTH)))
+        h = is_hubness(SimilarityMatrix(B), tau).values
+        _assert_near_scipy(h, -tau * logsumexp(B / tau, axis=0))
+        assert np.array_equal(h[cols:], h[repeats])
+
+    @given(
+        cols=st.integers(1, 12),
+        data=st.data(),
+        tau1=st.sampled_from(_TAUS),
+        tau2=st.sampled_from(_TAUS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dual_is_compensations(self, cols, data, tau1, tau2):
+        repeats = data.draw(st.lists(st.integers(0, cols - 1), max_size=3))
+        Bq = data.draw(_bank(cols, repeats, data.draw(_WIDTH)))
+        Bt = data.draw(_bank(cols, repeats, data.draw(_WIDTH)))
+        cfg = DualISConfig(tau1, tau2)
+        h_q, h_t = dual_is_compensations(SimilarityMatrix(Bq), SimilarityMatrix(Bt), cfg)
+        for h, B, tau in ((h_q.values, Bq, tau1), (h_t.values, Bt, tau2)):
+            _assert_near_scipy(h, -cfg.lam * logsumexp(B / tau, axis=0))
+            assert np.array_equal(h[cols:], h[repeats])
+
+    @given(
+        cols=st.integers(1, 12),
+        data=st.data(),
+        k=st.integers(1, 3),
+        tau=st.sampled_from(_TAUS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dynamic_inverted_softmax_ranking(self, cols, data, k, tau):
+        B = data.draw(_bank(cols, data.draw(st.lists(st.integers(0, cols - 1), max_size=3))))
+        S = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 10)), B.shape[1]), elements=_TIE_HEAVY))
+        cfg = DISConfig(k=min(k, B.shape[1]))
+        mask = dis_subset(SimilarityMatrix(B), cfg)
+        ref = S.copy()
+        ref[:, mask] = np.exp(S / tau - logsumexp(B / tau, axis=0))[:, mask]
+        out = dynamic_inverted_softmax(SimilarityMatrix(S), SimilarityMatrix(B), cfg, tau)
+        _assert_same_ranking(ref, out.values)
+
+    @given(
+        cols=st.integers(1, 12),
+        data=st.data(),
+        tau1=st.sampled_from(_TAUS),
+        tau2=st.sampled_from(_TAUS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dual_inverted_softmax_ranking(self, cols, data, tau1, tau2):
+        repeats = data.draw(st.lists(st.integers(0, cols - 1), max_size=3))
+        Bq, Bt = data.draw(_bank(cols, repeats)), data.draw(_bank(cols, repeats))
+        S = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 10)), Bq.shape[1]), elements=_TIE_HEAVY))
+        with np.errstate(over="ignore"):
+            ref = np.exp((S / tau1 - logsumexp(Bq / tau1, axis=0)) + (S / tau2 - logsumexp(Bt / tau2, axis=0)))
+        assume(np.all(ref < 1e300))
+        cfg = DualISConfig(tau1, tau2)
+        out = dual_inverted_softmax(SimilarityMatrix(S), SimilarityMatrix(Bq), SimilarityMatrix(Bt), cfg)
+        _assert_same_ranking(ref, out.values)
 
 
 class TestApplyHubness:
