@@ -6,15 +6,15 @@ histogram, skewness, sparsity), emd (distribution gap), sweep-tau
 (temperature study table), banksweep (bank-size study table).
 
 Exit codes: 0 success, 1 usage error (bad or missing flags), 2 data error
-(unreadable or malformed inputs, or a result with a value beyond float32's
-range, which is not written).  Flag values out of range are usage
-errors: a non-positive --pairs, --dim, --iters, --k, --skew-k, --subsample,
---repeats, --tau, --tau1, --tau2, --coeff, or --Ks/--taus entry; a negative
---seed; a negative or non-finite --noise, --gap, --bank-shift or --eps-rel;
-a --hub-fraction or --hub-strength outside [0, 1]; a --fractions entry
-outside (0, 1].  A K above the file's column count depends on the
-data and is a data error.  Every subcommand is deterministic given its flags
-and seed.
+(unreadable or malformed inputs, a result with a value beyond float32's
+range, or an l2n plan that did not converge; neither result is written).
+Flag values out of range are usage errors: a non-positive --pairs, --dim,
+--iters, --k, --skew-k, --subsample, --repeats, --tau, --tau1, --tau2,
+--coeff, or --Ks/--taus entry; a negative --seed; a negative or non-finite
+--noise, --gap, --bank-shift or --eps-rel; a --hub-fraction or
+--hub-strength outside [0, 1]; a --fractions entry outside (0, 1].  A K
+above the file's column count depends on the data and is a data error.
+Every subcommand is deterministic given its flags and seed.
 
 The environment variable HUBKIT_THREADS caps the thread pools of the
 numeric backends and the number of threads that sort and rank row blocks
@@ -99,6 +99,7 @@ def _method_table() -> dict:
         inverted_softmax,
         is_hubness,
     )
+    from .errors import DataError
     from .sinkhorn import Marginals, SinkhornConfig, dbsn, estimate_target_hubness
     from .variants import hn_normalize, l2n, otn
 
@@ -110,6 +111,13 @@ def _method_table() -> dict:
 
     def uniform(S):
         return Marginals.uniform(S.rows, S.cols)
+
+    def l2n_plan(S, tau, args):
+        plan = l2n(S, uniform(S), coeff=args.coeff)
+        if not plan.converged:
+            raise DataError(f"l2n did not converge: marginal violation {plan.marginal_violation:.3g} "
+                            f"after {plan.iterations_run} sweeps; nothing written")
+        return S.with_values(plan.pi)
 
     bank = ("bank_targets_sim",)
     return {
@@ -128,7 +136,7 @@ def _method_table() -> dict:
             (("bank_targets_sim", "bank_bank_sim"), lambda S, Bt, Bb, tau, args: dbsn(S, Bt, Bb, sn_cfg(tau, args))),
         ]),
         "otn": (0.01, [((), lambda S, tau, args: S.with_values(otn(S, uniform(S)).pi))]),
-        "l2n": (0.01, [((), lambda S, tau, args: S.with_values(l2n(S, uniform(S), coeff=args.coeff).pi))]),
+        "l2n": (0.01, [((), l2n_plan)]),
         "hn": (0.01, [((), lambda S, tau, args: hn_normalize(S, literal=args.hn_literal))]),
     }
 
@@ -157,6 +165,13 @@ def _occurrence_skew(S, k: int) -> tuple:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroVarianceWarning)
         return occ, skewness(occ)
+
+
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path`` as UTF-8 text, each ended by a newline."""
+    from .io import _write_file
+
+    _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _cmd_synth(args) -> int:
@@ -221,29 +236,17 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from . import io
-    from .sinkhorn import TransportPlan
-    from .variants import sparsity
+    from .variants import _sparsity
 
     import numpy as np
 
     S = io.read_similarity(args.sim)
     occ, skew = _occurrence_skew(S, args.k)
-    # S.values is already read-only, so the plan can share it without a copy.
-    holder = TransportPlan(
-        pi=S.values,
-        f=None,
-        g=None,
-        tau=0.0,
-        iterations_run=0,
-        marginal_violation=0.0,
-        _adopt=True,
-    )
-    frac = sparsity(holder, eps_rel=args.eps_rel)
     values, freqs = np.unique(occ.counts, return_counts=True)
     lines = [f"{int(v)}\t{int(c)}" for v, c in zip(values, freqs)]
     lines.append(f"skewness\t{skew:.10g}")
-    lines.append(f"sparsity\t{frac:.10g}")
-    io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    lines.append(f"sparsity\t{_sparsity(S.values, args.eps_rel):.10g}")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -273,7 +276,7 @@ def _cmd_sweep_tau(args) -> int:
             call = _method(method, ())[2]
             report = evaluate(call(S, tau, args), gt, [1], normalization=method)
             lines.append(f"{tau:g}\t{method}\t{report.r_at[1]:.4f}")
-    io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -308,7 +311,7 @@ def _cmd_banksweep(args) -> int:
             report = evaluate(normalized, gt, [1], normalization=method)
             skew = _occurrence_skew(normalized, 1)[1]
             lines.append(f"{fraction:g}\t{method}\t{report.r_at[1]:.4f}\t{skew:.6f}\t{gap:.6f}")
-    io._write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_lines(args.out, lines)
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingSet, RankMatrix, SimilarityMatrix
+from .core import EmbeddingSet, RankMatrix, SimilarityMatrix, _freeze
 from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning
 from .variants import hn
 
@@ -31,9 +31,7 @@ class KOccurrence:
             raise DataError(f"counts must be a nonempty vector, got shape {counts.shape}")
         if np.any(counts < 0):
             raise DataError("counts must be nonnegative")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _freeze(counts, dtype=np.int64))
         if self.k < 1:
             raise KOutOfRange(self.k, counts.size)
 

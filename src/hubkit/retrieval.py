@@ -69,21 +69,27 @@ class RetrievalReport:
             raise DataError("ranks are 1-based; mdr and mnr must be >= 1")
 
 
+def _truth_pairs(gt: GroundTruth, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gt`` against an m x n score matrix as flattened (row, target) pairs:
+    ``(pair_rows, cols, starts)``, row i's pairs at ``starts[i]:starts[i + 1]``."""
+    if len(gt) != m:
+        raise ShapeMismatch(f"{len(gt)} ground-truth rows vs {m} score rows")
+    sizes = np.fromiter((len(p) for p in gt.pairs), dtype=np.int64, count=m)
+    cols = np.fromiter(chain.from_iterable(gt.pairs), dtype=np.int64, count=int(sizes.sum()))
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    bad = np.flatnonzero(cols >= n)
+    if bad.size:
+        i = int(np.searchsorted(starts, bad[0], side="right")) - 1
+        raise IndexOutOfRange(f"query {i} references target {max(gt.pairs[i])} of {n}")
+    return np.repeat(np.arange(m), sizes), cols, starts
+
+
 def best_rank(ranks: RankMatrix, gt: GroundTruth) -> np.ndarray:
     """1-based position of each query's highest-ranked correct target."""
-    if len(gt) != ranks.rows:
-        raise ShapeMismatch(f"{len(gt)} ground-truth rows vs {ranks.rows} rank rows")
-    n = ranks.cols
+    pair_rows, cols, starts = _truth_pairs(gt, ranks.rows, ranks.cols)
     positions = np.empty_like(ranks.order)
-    row_index = np.arange(ranks.rows)[:, None]
-    positions[row_index, ranks.order] = np.arange(n)[None, :]
-    out = np.empty(ranks.rows, dtype=np.int64)
-    for i, targets in enumerate(gt.pairs):
-        idx = np.fromiter(targets, dtype=np.int64)
-        if idx.max() >= n:
-            raise IndexOutOfRange(f"query {i} references target {idx.max()} of {n}")
-        out[i] = positions[i, idx].min() + 1
-    return out
+    np.put_along_axis(positions, ranks.order, np.arange(ranks.cols)[None, :], axis=1)
+    return np.minimum.reduceat(positions[pair_rows, cols], starts[:-1]) + 1
 
 
 #: Target size of one row block of :func:`_count_best_ranks`, in float64 values.
@@ -99,16 +105,7 @@ def _count_best_ranks(V: np.ndarray, gt: GroundTruth) -> np.ndarray:
     as flattened (row, target) pairs, minimised per row.
     """
     m, n = V.shape
-    if len(gt) != m:
-        raise ShapeMismatch(f"{len(gt)} ground-truth rows vs {m} similarity rows")
-    sizes = np.fromiter((len(p) for p in gt.pairs), dtype=np.int64, count=m)
-    cols = np.fromiter(chain.from_iterable(gt.pairs), dtype=np.int64, count=int(sizes.sum()))
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    bad = np.flatnonzero(cols >= n)
-    if bad.size:
-        i = int(np.searchsorted(starts, bad[0], side="right")) - 1
-        raise IndexOutOfRange(f"query {i} references target {max(gt.pairs[i])} of {n}")
-    pair_rows = np.repeat(np.arange(m), sizes)
+    pair_rows, cols, starts = _truth_pairs(gt, m, n)
     ranks = np.empty(cols.size, dtype=np.int64)
     step = max(1, _COUNT_BLOCK_VALUES // n)
     for lo in range(0, m, step):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimilarityMatrix, row_topk_desc
+from .core import SimilarityMatrix, _freeze, row_topk_desc
 from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, NonPositiveTau
 
 
@@ -37,9 +37,7 @@ class HubnessVector:
             raise NonFiniteInput(f"hubness values must be 1-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise NonFiniteInput("hubness values contain NaN or Inf")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(values))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .core import SimilarityMatrix
+from .core import SimilarityMatrix, _freeze
 from .errors import (
     ColMismatch,
     DataError,
@@ -58,9 +58,7 @@ class Marginals:
                 raise ZeroMarginalEntry(f"marginal {name} must have finite entries > 0")
             if abs(vec.sum() - 1.0) > 1e-12:
                 raise DataError(f"marginal {name} must sum to 1, got {vec.sum()!r}")
-            vec = vec.copy()
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _freeze(vec))
 
     @classmethod
     def uniform(cls, m: int, n: int) -> "Marginals":
@@ -116,18 +114,13 @@ class TransportPlan:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        pi = np.ascontiguousarray(self.pi, dtype=np.float64)
+        pi = _freeze(self.pi, adopt=_adopt)
         if pi.ndim != 2 or pi.size < 1:
             raise ShapeMismatch(f"plan must be a nonempty 2-D matrix, got shape {pi.shape}")
-        pi = pi.copy() if pi is self.pi and not _adopt else pi
-        pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         for name in ("f", "g"):
-            vec = getattr(self, name)
-            if vec is not None:
-                vec = np.asarray(vec, dtype=np.float64).copy()
-                vec.setflags(write=False)
-                object.__setattr__(self, name, vec)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 def _violation(pi: np.ndarray, a: np.ndarray | None, b: np.ndarray) -> float:

@@ -153,9 +153,13 @@ def hn_normalize(S: SimilarityMatrix, literal: bool = False) -> SimilarityMatrix
     return S._adopt_values(S.values + (span + 1.0) * plan.pi)
 
 
-def sparsity(plan: TransportPlan, eps_rel: float = 1e-9) -> float:
-    """Fraction of plan entries below ``eps_rel`` times the largest entry."""
-    pi = plan.pi
+def _sparsity(pi: np.ndarray, eps_rel: float) -> float:
+    """Fraction of the entries of ``pi`` below ``eps_rel`` times the largest."""
     if pi.size == 0:
         raise EmptyPlan("plan has no entries")
     return float(np.mean(pi < eps_rel * pi.max()))
+
+
+def sparsity(plan: TransportPlan, eps_rel: float = 1e-9) -> float:
+    """Fraction of plan entries below ``eps_rel`` times the largest entry."""
+    return _sparsity(plan.pi, eps_rel)

@@ -483,6 +483,17 @@ class TestExitCodes:
         assert "not finite in float32" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unconverged_l2n_plan_is_data_error(self, tmp_path, capsys):
+        # At coeff 1e4 the solver settles on a plan with an empty row and
+        # two empty columns, far off the uniform marginals.
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.random.default_rng(34).uniform(-1, 1, (2, 3))), sim)
+        out = tmp_path / "l2n.sim"
+        assert main(["normalize", "--input", str(sim), "--method", "l2n", "--coeff", "10000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "marginal violation" in err and "sweeps" in err
+        assert not out.exists()
+
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "synth" in capsys.readouterr().out

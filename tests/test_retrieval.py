@@ -24,6 +24,19 @@ def _ranks(V):
     return row_argsort_desc(SimilarityMatrix(V))
 
 
+def _best_rank_by_query(ranks, gt):
+    """best_rank as one lookup per query in the inverse of its row order."""
+    assert len(gt) == ranks.rows
+    positions = np.empty_like(ranks.order)
+    positions[np.arange(ranks.rows)[:, None], ranks.order] = np.arange(ranks.cols)[None, :]
+    out = np.empty(ranks.rows, dtype=np.int64)
+    for i, targets in enumerate(gt.pairs):
+        idx = np.fromiter(targets, dtype=np.int64)
+        assert idx.max() < ranks.cols
+        out[i] = positions[i, idx].min() + 1
+    return out
+
+
 class TestGroundTruth:
     def test_identity(self):
         gt = GroundTruth.identity(3)
@@ -81,6 +94,28 @@ class TestBestRank:
         ranks = _ranks(np.eye(3))
         with pytest.raises(ShapeMismatch):
             best_rank(ranks, GroundTruth.identity(4))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_query_reference(self, data):
+        V, gt = data.draw(scores_and_truth(multi=True))
+        ranks = _ranks(V)
+        np.testing.assert_array_equal(best_rank(ranks, gt), _best_rank_by_query(ranks, gt))
+
+    @pytest.mark.parametrize(
+        "gt, error",
+        [
+            (GroundTruth.identity(4), ShapeMismatch),
+            (GroundTruth((frozenset({0}), frozenset({1, 9}), frozenset({5}))), IndexOutOfRange),
+        ],
+    )
+    def test_raises_as_evaluate_does(self, gt, error):
+        S = SimilarityMatrix(np.eye(3))
+        with pytest.raises(error) as from_best_rank:
+            best_rank(row_argsort_desc(S), gt)
+        with pytest.raises(error) as from_evaluate:
+            evaluate(S, gt, Ks=[1])
+        assert str(from_best_rank.value) == str(from_evaluate.value)
 
 
 class TestEvaluate:

@@ -49,25 +49,35 @@ def _greedy_two_row_objective(V, a, b):
 
 
 def _dual_ascent_projection(z, a, b):
-    """Euclidean projection of z onto the polytope by plain gradient ascent.
+    """Euclidean projection of z onto the polytope by accelerated gradient ascent.
 
-    The same unaccelerated ascent on the projection dual as the acceptance
-    oracle, run until the L1 marginal residual falls to 1e-12.  Entries that
-    end near zero slow it down: at z = 100 * uniform(-1, 1) about one 4 x 5
-    instance in 80 takes it over 500k steps, at z = 10 * uniform(-1, 1) none
-    of 79 took over 60k.
+    Nesterov's momentum on the projection dual at the plain ascent's step
+    1 / (m + n), restarted whenever the momentum runs against the gradient,
+    until the L1 marginal residual falls to 1e-12.  Plain ascent stalls where
+    entries end near zero: on ``_STALLING_INPUT`` it sits at a residual of
+    2.5e-6 for millions of steps, which this form clears in about 7k.
     """
     m, n = z.shape
-    u, v = np.zeros(m), np.zeros(n)
     step = 1.0 / (m + n)
+    w = np.zeros(m + n)  # the duals (u, v)
+    y, t = w, 1.0
     for _ in range(400_000):
-        x = np.maximum(z + u[:, None] + v[None, :], 0.0)
-        gu, gv = a - x.sum(axis=1), b - x.sum(axis=0)
-        if np.abs(gu).sum() + np.abs(gv).sum() <= 1e-12:
+        x = np.maximum(z + y[:m, None] + y[None, m:], 0.0)
+        grad = np.concatenate([a - x.sum(axis=1), b - x.sum(axis=0)])
+        if np.abs(grad).sum() <= 1e-12:
             return x
-        u += step * gu
-        v += step * gv
+        w_next = y + step * grad
+        if grad @ (w_next - w) < 0.0:
+            y, t = w_next, 1.0
+        else:
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y, t = w_next + (t - 1.0) / t_next * (w_next - w), t_next
+        w = w_next
     raise AssertionError("the gradient oracle did not converge")
+
+
+#: (V, a weights, b weights) on which plain dual ascent stalls at coeff 10.
+_STALLING_INPUT = (np.random.default_rng(1).uniform(-1, 1, (2, 4)), [1.0, 1.0], [1.0, 1.0, 1.0, 0.99999])
 
 
 def _marginal(weights):
@@ -202,14 +212,21 @@ class TestL2n:
     @settings(max_examples=25, deadline=None)
     def test_matches_gradient_oracle_off_square_and_off_uniform(self, data, m, n, seed):
         """Generic similarities (seeded uniform draws) at coeff 10, where the
-        projection is still sparse and the plain gradient oracle converges
-        well within its step cap."""
+        projection is still sparse and the gradient oracle converges well
+        within its step cap."""
         assume(m != n)
         V = np.random.default_rng(seed).uniform(-1, 1, (m, n))
-        a = _marginal(data.draw(st.lists(_weights, min_size=m, max_size=m)))
-        b = _marginal(data.draw(st.lists(_weights, min_size=n, max_size=n)))
-        marg = Marginals(a=a, b=b)
-        plan = l2n(SimilarityMatrix(V), marg, coeff=10.0)
+        a = data.draw(st.lists(_weights, min_size=m, max_size=m))
+        b = data.draw(st.lists(_weights, min_size=n, max_size=n))
+        self._check_against_oracle(V, a, b)
+
+    def test_matches_gradient_oracle_where_plain_ascent_stalls(self):
+        self._check_against_oracle(*_STALLING_INPUT)
+
+    @staticmethod
+    def _check_against_oracle(V, a_weights, b_weights):
+        a, b = _marginal(a_weights), _marginal(b_weights)
+        plan = l2n(SimilarityMatrix(V), Marginals(a=a, b=b), coeff=10.0)
         assert plan.converged
         assert np.all(plan.pi >= 0.0)
         assert plan.marginal_violation <= 1e-12
