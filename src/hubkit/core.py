@@ -166,6 +166,9 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
 #: Target size of one row block of the ranking functions, in float64 values.
 _SORT_BLOCK_VALUES = 1 << 17
 
+#: The magnitude bits of an IEEE 754 double seen as an int64.
+_MAGNITUDE = np.int64(np.iinfo(np.int64).max)
+
 
 def _ranking_threads() -> int:
     """Threads the row-block ranking uses: ``HUBKIT_THREADS`` if positive,
@@ -179,19 +182,35 @@ def _ranking_threads() -> int:
 
 
 def _argsort_block(V: np.ndarray, out: np.ndarray) -> None:
-    """Stable descending argsort of the rows of V into ``out``.
+    """Stable descending argsort of the rows of V into ``out``, by packed keys.
 
-    numpy's default (unstable, vectorized) sort orders the rows; only rows
-    that hold two equal scores, which is where the unstable sort may leave
-    ties out of column order, are sorted again with the stable sort.
+    Each score becomes an int64 key, built in ``out``, that rises as the
+    score falls: the bits of ``-V`` (``-0.0`` canonicalized to ``+0.0``)
+    with the sign-magnitude flip, their low ``b = (n - 1).bit_length()``
+    bits replaced by the column index.  numpy's vectorized int64 sort orders
+    the keys, and masking off the high bits leaves the columns.  Keys that
+    share their high bits (equal scores, or scores that differ only in the
+    dropped bits) may be out of order, so rows with two such adjacent keys
+    are sorted again with the stable float sort.  The sign mask and that
+    check share one scratch array of V's shape.
     """
-    neg = np.negative(V)
-    order = np.argsort(neg, axis=1)
-    keys = np.take_along_axis(neg, order, axis=1)
-    tied = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+    n = V.shape[1]
+    b = (n - 1).bit_length()
+    low = (1 << b) - 1
+    np.subtract(0.0, V, out=out.view(np.float64))
+    scratch = np.right_shift(out, 63)
+    scratch &= _MAGNITUDE
+    out ^= scratch
+    out &= ~low
+    out |= np.arange(n)
+    out.sort(axis=1)
+    same = scratch[:, 1:]
+    np.bitwise_xor(out[:, 1:], out[:, :-1], out=same)
+    same >>= b
+    tied = np.flatnonzero(~same.all(axis=1))
+    out &= low
     if tied.size:
-        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
-    out[:] = order
+        out[tied] = np.argsort(np.negative(V[tied]), axis=1, kind="stable")
 
 
 def _topk_block(V: np.ndarray, out: np.ndarray, k: int) -> None:
@@ -240,7 +259,8 @@ def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
     The result equals a stable sort of the negated scores, so equal scores
     (``0.0`` and ``-0.0`` included) stay in ascending column-index order.
     Rows are sorted in blocks, on up to ``HUBKIT_THREADS`` threads for
-    matrices larger than one block.
+    matrices larger than one block, as int64 keys packing score and column
+    that are built in the result itself (see :func:`_argsort_block`).
     """
     order = np.empty(S.values.shape, dtype=np.int64)
     _by_row_blocks(S.values, order, _argsort_block)

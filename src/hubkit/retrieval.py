@@ -85,10 +85,20 @@ def _truth_pairs(gt: GroundTruth, m: int, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def best_rank(ranks: RankMatrix, gt: GroundTruth) -> np.ndarray:
-    """1-based position of each query's highest-ranked correct target."""
+    """1-based position of each query's highest-ranked correct target.
+
+    ``ranks`` must hold full row permutations, as from
+    :func:`row_argsort_desc`; a top-k ranking is refused with ShapeMismatch.
+    """
+    order = ranks.order
+    if order.size and (order.min() < 0 or order.max() >= ranks.cols):
+        raise ShapeMismatch(
+            f"best_rank needs full row permutations, but rank rows of {ranks.cols} columns "
+            f"hold column indices {order.min()}..{order.max()} (a top-k ranking?)"
+        )
     pair_rows, cols, starts = _truth_pairs(gt, ranks.rows, ranks.cols)
-    positions = np.empty_like(ranks.order)
-    np.put_along_axis(positions, ranks.order, np.arange(ranks.cols)[None, :], axis=1)
+    positions = np.empty_like(order)
+    np.put_along_axis(positions, order, np.arange(ranks.cols)[None, :], axis=1)
     return np.minimum.reduceat(positions[pair_rows, cols], starts[:-1]) + 1
 
 

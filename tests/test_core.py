@@ -140,6 +140,29 @@ class TestRowArgsortDesc:
 
 TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, -1.0])
 
+#: Magnitudes from the subnormal range to the largest double, both signs,
+#: and the two zeros.
+EXTREME_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308]
+    + [1e-300, -1e-300, 1.0, -1.0, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+def _ulp_steps(base: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``base`` moved by ``steps`` units in the last place, away from zero
+    for positive steps (no value may cross zero or overflow)."""
+    return (base.view(np.int64) + steps).view(np.float64)
+
+
+def _sorted_as_stable(V: np.ndarray, threads: str, block_values: int = 24) -> None:
+    """row_argsort_desc(V) equals the stable sort; the default blocks of a
+    few rows make most shapes span several blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HUBKIT_THREADS", threads)
+        mp.setattr(core, "_SORT_BLOCK_VALUES", block_values)
+        order = row_argsort_desc(SimilarityMatrix(V)).order
+    np.testing.assert_array_equal(order, np.argsort(-V, axis=1, kind="stable"))
+
 
 class TestRowArgsortMatchesStableSort:
     """The blocked, threaded sort must equal numpy's stable sort exactly."""
@@ -149,17 +172,12 @@ class TestRowArgsortMatchesStableSort:
         V=hnp.arrays(
             np.float64,
             hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
-            elements=TIE_VALUES,
+            elements=TIE_VALUES | EXTREME_VALUES,
         )
     )
     @settings(max_examples=60, deadline=None)
     def test_tie_heavy_multi_block(self, threads, V):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("HUBKIT_THREADS", threads)
-            # blocks of a few rows, so most shapes span several blocks
-            mp.setattr(core, "_SORT_BLOCK_VALUES", 24)
-            order = row_argsort_desc(SimilarityMatrix(V)).order
-        np.testing.assert_array_equal(order, np.argsort(-V, axis=1, kind="stable"))
+        _sorted_as_stable(V, threads)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_default_blocks_with_rounded_ties(self, monkeypatch, threads):
@@ -202,14 +220,65 @@ class TestRowArgsortMatchesStableSort:
         assert pools == [2]
 
     def test_signed_zeros_keep_column_order(self):
-        order = row_argsort_desc(SimilarityMatrix(np.array([[-0.0, 0.0, -0.0, 1.0]]))).order
-        np.testing.assert_array_equal(order, [[3, 0, 1, 2]])
+        # the last two rows hold no other equal scores, so only equal keys
+        # for the two zeros keep them in column order
+        V = np.array([[-0.0, 0.0, -0.0, 1.0], [-0.0, 0.0, 1.0, -1.0], [0.0, -0.0, 1.0, -1.0]])
+        order = row_argsort_desc(SimilarityMatrix(V)).order
+        np.testing.assert_array_equal(order, [[3, 0, 1, 2], [2, 0, 1, 3], [2, 0, 1, 3]])
 
     def test_thread_count_follows_hubkit_threads(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         for value, want in [("1", 1), ("100000", cpus), ("0", cpus), ("junk", cpus)]:
             monkeypatch.setenv("HUBKIT_THREADS", value)
             assert core._ranking_threads() == want
+
+
+class TestPackedKeys:
+    """Packed int64 keys keep a score's high bits and the column index; every
+    way two scores can share a key's high bits must still sort stably."""
+
+    def test_neighbours_in_the_dropped_bits(self):
+        # three adjacent doubles: two of any three consecutive keys share
+        # all bits above the lowest two, and the higher score sits right
+        x = np.array([0.3, -0.3, 1e-310, 1e300])
+        V = _ulp_steps(np.repeat(x[:, None], 3, axis=1), np.array([[0, 1, 2]]))
+        V[1] = V[1, ::-1]  # away from zero is downward for negative scores
+        assert np.all(np.diff(V, axis=1) > 0)
+        np.testing.assert_array_equal(row_argsort_desc(SimilarityMatrix(V)).order, [[2, 1, 0]] * 4)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @given(
+        data=st.data(),
+        base=st.floats(1e-300, 1e300),
+        n=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scores_a_few_ulps_apart(self, threads, data, base, n):
+        m = data.draw(st.integers(1, 12))
+        steps = data.draw(hnp.arrays(np.int64, (m, n), elements=st.integers(0, 2 * n)))
+        signs = data.draw(hnp.arrays(np.float64, (m, 1), elements=st.sampled_from([1.0, -1.0])))
+        _sorted_as_stable(_ulp_steps(np.full((m, n), base) * signs, steps), threads)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 256, 257, 4096, 4097])
+    def test_column_counts_at_the_bit_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        V = np.round(rng.uniform(-1, 1, (6, n)), 2)
+        V[1] = _ulp_steps(np.full(n, 0.5), np.arange(n) % 7)  # dropped-bit neighbours
+        V[2] = rng.uniform(-1, 1, n)  # no ties at all
+        V[3] = rng.uniform(-1, 1, n)
+        V[3, 0], V[3, -1] = -0.0, 0.0  # a lone pair of signed zeros
+        for threads in ("1", "2"):
+            _sorted_as_stable(V, threads, block_values=max(24, 2 * n))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_float32_origin_scores(self, tmp_path, threads):
+        rng = np.random.default_rng(11)
+        V = np.round(rng.standard_normal((120, 300)), 3)
+        V[rng.random(V.shape) < 0.05] = -0.0
+        write_similarity(SimilarityMatrix(V), tmp_path / "s.sim")
+        read = read_similarity(tmp_path / "s.sim").values
+        assert np.array_equal(read, V.astype(np.float32))
+        _sorted_as_stable(read, threads, block_values=1000)
 
 
 class TestRowTopkDesc:
@@ -301,7 +370,8 @@ class TestContainers:
         finally:
             tracemalloc.stop()
         assert sim_peak < 1.5 * S.values.nbytes
-        assert rank_peak - S.values.nbytes < 1.5 * R.order.nbytes
+        # the keys are built in R.order; one block of scratch comes on top
+        assert rank_peak - S.values.nbytes < 1.2 * R.order.nbytes
         # the float32 file contents (half a buffer) and one float64 buffer;
         # a copy of the converted values would make it two float64 buffers
         assert read_peaks[0] < 1.75 * S.values.nbytes

@@ -17,6 +17,7 @@ from hubkit import (
     best_rank,
     evaluate,
     row_argsort_desc,
+    row_topk_desc,
 )
 
 
@@ -94,6 +95,11 @@ class TestBestRank:
         ranks = _ranks(np.eye(3))
         with pytest.raises(ShapeMismatch):
             best_rank(ranks, GroundTruth.identity(4))
+
+    def test_top_k_ranking_is_refused(self):
+        S = SimilarityMatrix(np.array([[0.1, 0.2, 0.9, 0.8], [0.3, 0.1, 0.5, 0.7]]))
+        with pytest.raises(ShapeMismatch, match="full row permutations"):
+            best_rank(row_topk_desc(S, 2), GroundTruth.identity(2))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
