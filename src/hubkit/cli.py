@@ -29,8 +29,19 @@ start-up short.
 """
 
 import argparse
+import importlib
 import math
 import sys
+import warnings
+
+import numpy as np
+
+# Library functions are looked up on their modules at call time, never bound
+# here, so a wrapper set on a module attribute runs only while it is set.
+from . import core, diagnostics, errors, io, retrieval, scaling, synth, variants
+
+# The package exports the function ``sinkhorn``, which hides the module.
+sinkhorn = importlib.import_module(f"{__package__}.sinkhorn")
 
 
 class _UsageError(Exception):
@@ -81,70 +92,62 @@ def _list_of(entry):
     return convert
 
 
-def _method_table() -> dict:
-    """normalize's methods in --method order: name -> (default --tau, forms).
+def _sn_cfg(tau, args):
+    return sinkhorn.SinkhornConfig(tau=tau, max_iters=args.iters)
 
-    A form is (bank flags, call).  ``call(S, *banks, tau, args)`` gets the
-    bank matrices the flags name, in that order, and returns the normalized
-    matrix.  A method runs its first form whose bank flags are all given:
-    ``is`` and ``sn`` list their --bank-targets-sim form before the
-    bank-free one.
-    """
-    from .scaling import (
-        DISConfig,
-        DualISConfig,
-        apply_hubness,
-        dual_inverted_softmax,
-        dynamic_inverted_softmax,
-        inverted_softmax,
-        is_hubness,
-    )
-    from .errors import DataError
-    from .sinkhorn import Marginals, SinkhornConfig, dbsn, estimate_target_hubness
-    from .variants import hn_normalize, l2n, otn
 
-    def sn_cfg(tau, args):
-        return SinkhornConfig(tau=tau, max_iters=args.iters)
+def _sn(S, B, tau, args):
+    return scaling.apply_hubness(S, sinkhorn.estimate_target_hubness(B, _sn_cfg(tau, args)))
 
-    def sn(S, B, tau, args):
-        return apply_hubness(S, estimate_target_hubness(B, sn_cfg(tau, args)))
 
-    def uniform(S):
-        return Marginals.uniform(S.rows, S.cols)
+def _uniform(S):
+    return sinkhorn.Marginals.uniform(S.rows, S.cols)
 
-    def l2n_plan(S, tau, args):
-        plan = l2n(S, uniform(S), coeff=args.coeff)
-        if not plan.converged:
-            raise DataError(f"l2n did not converge: marginal violation {plan.marginal_violation:.3g} "
-                            f"after {plan.iterations_run} sweeps; nothing written")
-        return S.with_values(plan.pi)
 
-    bank = ("bank_targets_sim",)
-    return {
-        "none": (0.01, [((), lambda S, tau, args: S)]),
-        "is": (0.02, [
-            (bank, lambda S, B, tau, args: apply_hubness(S, is_hubness(B, tau))),
-            ((), lambda S, tau, args: inverted_softmax(S, tau)),
-        ]),
-        "dis": (0.02, [(bank, lambda S, B, tau, args: dynamic_inverted_softmax(S, B, DISConfig(k=args.k), tau))]),
-        "dualis": (0.01, [
-            (("bank_targets_sim", "tbank_targets_sim"),
-             lambda S, Bq, Bt, tau, args: dual_inverted_softmax(S, Bq, Bt, DualISConfig(args.tau1, args.tau2))),
-        ]),
-        "sn": (0.01, [(bank, sn), ((), lambda S, tau, args: sn(S, S, tau, args))]),
-        "dbsn": (0.01, [
-            (("bank_targets_sim", "bank_bank_sim"), lambda S, Bt, Bb, tau, args: dbsn(S, Bt, Bb, sn_cfg(tau, args))),
-        ]),
-        "otn": (0.01, [((), lambda S, tau, args: S.with_values(otn(S, uniform(S)).pi))]),
-        "l2n": (0.01, [((), l2n_plan)]),
-        "hn": (0.01, [((), lambda S, tau, args: hn_normalize(S, literal=args.hn_literal))]),
-    }
+def _l2n_plan(S, tau, args):
+    plan = variants.l2n(S, _uniform(S), coeff=args.coeff)
+    if not plan.converged:
+        raise errors.DataError(f"l2n did not converge: marginal violation {plan.marginal_violation:.3g} "
+                               f"after {plan.iterations_run} sweeps; nothing written")
+    return S.with_values(plan.pi)
+
+
+_BANK = ("bank_targets_sim",)
+
+#: normalize's methods in --method order: name -> (default --tau, forms).
+#: A form is (bank flags, call).  ``call(S, *banks, tau, args)`` gets the
+#: bank matrices the flags name, in that order, and returns the normalized
+#: matrix.  A method runs its first form whose bank flags are all given:
+#: ``is`` and ``sn`` list their --bank-targets-sim form before the bank-free
+#: one.  Methods whose forms ignore tau have no default.
+_METHODS = {
+    "none": (None, [((), lambda S, tau, args: S)]),
+    "is": (0.02, [
+        (_BANK, lambda S, B, tau, args: scaling.apply_hubness(S, scaling.is_hubness(B, tau))),
+        ((), lambda S, tau, args: scaling.inverted_softmax(S, tau)),
+    ]),
+    "dis": (0.02, [
+        (_BANK, lambda S, B, tau, args: scaling.dynamic_inverted_softmax(S, B, scaling.DISConfig(k=args.k), tau)),
+    ]),
+    "dualis": (None, [
+        (("bank_targets_sim", "tbank_targets_sim"), lambda S, Bq, Bt, tau, args: scaling.dual_inverted_softmax(
+            S, Bq, Bt, scaling.DualISConfig(args.tau1, args.tau2))),
+    ]),
+    "sn": (0.01, [(_BANK, _sn), ((), lambda S, tau, args: _sn(S, S, tau, args))]),
+    "dbsn": (0.01, [
+        (("bank_targets_sim", "bank_bank_sim"),
+         lambda S, Bt, Bb, tau, args: sinkhorn.dbsn(S, Bt, Bb, _sn_cfg(tau, args))),
+    ]),
+    "otn": (None, [((), lambda S, tau, args: S.with_values(variants.otn(S, _uniform(S)).pi))]),
+    "l2n": (None, [((), _l2n_plan)]),
+    "hn": (None, [((), lambda S, tau, args: variants.hn_normalize(S, literal=args.hn_literal))]),
+}
 
 
 def _method(name: str, given) -> tuple:
     """(default tau, bank flags, call) of the form of ``name`` that runs when
     the bank flags in ``given`` are set; a missing bank flag is a usage error."""
-    tau, forms = _method_table()[name]
+    tau, forms = _METHODS[name]
     for banks, call in forms:
         missing = [flag for flag in banks if flag not in given]
         if not missing:
@@ -155,32 +158,21 @@ def _method(name: str, given) -> tuple:
 def _occurrence_skew(S, k: int) -> tuple:
     """S's top-k occurrence counts and their skewness; constant counts
     read 0 without a ZeroVarianceWarning."""
-    import warnings
-
-    from .core import row_topk_desc
-    from .diagnostics import k_occurrence, skewness
-    from .errors import ZeroVarianceWarning
-
-    occ = k_occurrence(row_topk_desc(S, k), k, targets=S.cols)
+    occ = diagnostics.k_occurrence(core.row_topk_desc(S, k), k, targets=S.cols)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroVarianceWarning)
-        return occ, skewness(occ)
+        warnings.simplefilter("ignore", errors.ZeroVarianceWarning)
+        return occ, diagnostics.skewness(occ)
 
 
 def _write_lines(path, lines) -> None:
     """Write ``lines`` to ``path`` as UTF-8 text, each ended by a newline."""
-    from .io import _write_file
-
-    _write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    io._write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _cmd_synth(args) -> int:
-    from . import io
-    from .synth import SynthConfig, generate_banks, generate_paired
-
     if (args.out_bank_queries is None) != (args.out_bank_targets is None):
         raise _UsageError("--out-bank-queries and --out-bank-targets go together")
-    cfg = SynthConfig(
+    cfg = synth.SynthConfig(
         dim=args.dim,
         n_pairs=args.pairs,
         noise_sigma=args.noise,
@@ -190,30 +182,25 @@ def _cmd_synth(args) -> int:
         bank_shift=args.bank_shift,
         seed=args.seed,
     )
-    Q, T, gt = generate_paired(cfg)
+    Q, T, gt = synth.generate_paired(cfg)
     io.write_embeddings(Q, args.out_queries)
     io.write_embeddings(T, args.out_targets)
     io.write_ground_truth(gt, args.out_gt)
     if args.out_bank_queries is not None:
-        Bq, Bt = generate_banks(cfg, base=(Q, T))
+        Bq, Bt = synth.generate_banks(cfg, base=(Q, T))
         io.write_embeddings(Bq, args.out_bank_queries)
         io.write_embeddings(Bt, args.out_bank_targets)
     return 0
 
 
 def _cmd_sim(args) -> int:
-    from . import io
-    from .core import Role, cosine_similarity_matrix
-
-    Q = io.read_embeddings(args.queries, renormalize=args.renormalize, role=Role.QUERY)
-    T = io.read_embeddings(args.targets, renormalize=args.renormalize, role=Role.TARGET)
-    io.write_similarity(cosine_similarity_matrix(Q, T), args.out)
+    Q = io.read_embeddings(args.queries, renormalize=args.renormalize)
+    T = io.read_embeddings(args.targets, renormalize=args.renormalize)
+    io.write_similarity(core.cosine_similarity_matrix(Q, T), args.out)
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    from . import io
-
     flags = ("bank_targets_sim", "bank_bank_sim", "tbank_targets_sim")
     tau, banks, call = _method(args.method, {flag for flag in flags if getattr(args, flag) is not None})
     S = io.read_similarity(args.input)
@@ -223,92 +210,72 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from . import io
-    from .retrieval import evaluate
-
     S = io.read_similarity(args.sim)
     gt = io.read_ground_truth(args.gt)
     skew = None if args.skew_k is None else _occurrence_skew(S, args.skew_k)[1]
-    report = evaluate(S, gt, args.Ks, skew=skew, normalization=args.method, params={})
+    report = retrieval.evaluate(S, gt, args.Ks, skew=skew, normalization=args.method, params={})
     io.write_report(report, args.out)
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    from . import io
-    from .variants import _sparsity
-
-    import numpy as np
-
     S = io.read_similarity(args.sim)
     occ, skew = _occurrence_skew(S, args.k)
     values, freqs = np.unique(occ.counts, return_counts=True)
     lines = [f"{int(v)}\t{int(c)}" for v, c in zip(values, freqs)]
     lines.append(f"skewness\t{skew:.10g}")
-    lines.append(f"sparsity\t{_sparsity(S.values, args.eps_rel):.10g}")
+    lines.append(f"sparsity\t{variants._sparsity(S.values, args.eps_rel):.10g}")
     _write_lines(args.out, lines)
     return 0
 
 
 def _cmd_emd(args) -> int:
-    from . import io
-    from .core import Role
-    from .diagnostics import EmdConfig, emd
-
-    X = io.read_embeddings(args.x, role=Role.QUERY_BANK)
-    Y = io.read_embeddings(args.y, role=Role.TARGET)
-    cfg = EmdConfig(
+    X = io.read_embeddings(args.x)
+    Y = io.read_embeddings(args.y)
+    cfg = diagnostics.EmdConfig(
         subsample=args.subsample, repeats=args.repeats, seed=args.seed, ground_cost=args.cost
     )
-    print(f"{emd(X, Y, cfg):.10g}")
+    print(f"{diagnostics.emd(X, Y, cfg):.10g}")
     return 0
 
 
 def _cmd_sweep_tau(args) -> int:
-    from . import io
-    from .retrieval import evaluate
-
     S = io.read_similarity(args.sim)
     gt = io.read_ground_truth(args.gt)
     lines = []
     for tau in args.taus:
         for method in ("is", "sn"):
             call = _method(method, ())[2]
-            report = evaluate(call(S, tau, args), gt, [1], normalization=method)
+            report = retrieval.evaluate(call(S, tau, args), gt, [1], normalization=method)
             lines.append(f"{tau:g}\t{method}\t{report.r_at[1]:.4f}")
     _write_lines(args.out, lines)
     return 0
 
 
 def _cmd_banksweep(args) -> int:
-    from . import io
-    from .core import EmbeddingSet, Role, cosine_similarity_matrix
-    from .diagnostics import EmdConfig, emd
-    from .retrieval import evaluate
-
-    Q = io.read_embeddings(args.queries, role=Role.QUERY)
-    T = io.read_embeddings(args.targets, role=Role.TARGET)
-    Bq = io.read_embeddings(args.bank_queries, role=Role.QUERY_BANK)
-    Bt = io.read_embeddings(args.bank_targets, role=Role.TARGET_BANK)
+    Q = io.read_embeddings(args.queries)
+    T = io.read_embeddings(args.targets)
+    Bq = io.read_embeddings(args.bank_queries)
+    Bt = io.read_embeddings(args.bank_targets)
     gt = io.read_ground_truth(args.gt)
-    S = cosine_similarity_matrix(Q, T)
-    emd_cfg = EmdConfig(subsample=args.subsample, repeats=args.repeats, seed=args.seed)
+    S = core.cosine_similarity_matrix(Q, T)
+    emd_cfg = diagnostics.EmdConfig(subsample=args.subsample, repeats=args.repeats, seed=args.seed)
     lines = []
     for fraction in args.fractions:
         nq = max(1, int(fraction * Bq.count))
         nt = max(1, int(fraction * Bt.count))
-        bq = EmbeddingSet(Bq.data[:nq], role=Role.QUERY_BANK)
-        bt = EmbeddingSet(Bt.data[:nt], role=Role.TARGET_BANK)
+        bq = core.EmbeddingSet(Bq.data[:nq])
+        bt = core.EmbeddingSet(Bt.data[:nt])
         banks = {
-            "bank_targets_sim": cosine_similarity_matrix(bq, T),
-            "bank_bank_sim": cosine_similarity_matrix(bq, bt),
+            "bank_targets_sim": core.cosine_similarity_matrix(bq, T),
+            "bank_bank_sim": core.cosine_similarity_matrix(bq, bt),
         }
-        gap = emd(bq, T, emd_cfg)
+        gap = diagnostics.emd(bq, T, emd_cfg)
         for method in ("is", "sn", "dbsn"):
             # IS keeps its default temperature; --tau sets SN and DBSN.
             tau, flags, call = _method(method, banks)
             normalized = call(S, *(banks[flag] for flag in flags), tau if method == "is" else args.tau, args)
-            report = evaluate(normalized, gt, [1], normalization=method)
+            report = retrieval.evaluate(normalized, gt, [1], normalization=method)
             skew = _occurrence_skew(normalized, 1)[1]
             lines.append(f"{fraction:g}\t{method}\t{report.r_at[1]:.4f}\t{skew:.6f}\t{gap:.6f}")
     _write_lines(args.out, lines)
@@ -345,7 +312,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="apply one normalization method to a similarity file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--method", required=True, choices=list(_method_table()))
+    p.add_argument("--method", required=True, choices=list(_METHODS))
     p.add_argument("--tau", type=_positive_float, default=None, help="default 0.02 for is/dis, 0.01 for sn/dbsn")
     p.add_argument("--tau1", type=_positive_float, default=0.02)
     p.add_argument("--tau2", type=_positive_float, default=0.02)
@@ -415,14 +382,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    from .errors import HubkitError
-
     try:
         return args.func(args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
-    except HubkitError as exc:
+    except errors.HubkitError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,7 +138,7 @@ class RankMatrix:
         return self.order.shape[1]
 
 
-def l2_normalize(raw: np.ndarray, role: Role = Role.QUERY) -> EmbeddingSet:
+def l2_normalize(raw: np.ndarray) -> EmbeddingSet:
     """Scale every row of ``raw`` to unit L2 norm.
 
     Zero rows are a hard error (ZeroVectorRow); silently keeping them would
@@ -153,7 +153,7 @@ def l2_normalize(raw: np.ndarray, role: Role = Role.QUERY) -> EmbeddingSet:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVectorRow(int(zero[0]))
-    return EmbeddingSet(data / norms[:, None], role=role, _adopt=True)
+    return EmbeddingSet(data / norms[:, None], _adopt=True)
 
 
 def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatrix:

@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .core import EmbeddingSet, Role, SimilarityMatrix, l2_normalize
+from .core import EmbeddingSet, SimilarityMatrix, l2_normalize
 from .errors import BadMagic, DataError, IoFailure, NonFiniteInput, SizeMismatch, TruncatedFile
 from .retrieval import GroundTruth, RetrievalReport
 
@@ -80,7 +80,7 @@ def _write_matrix(path, magic: bytes, values: np.ndarray) -> None:
     _write_file(path, _HEADER.pack(magic, rows, cols) + data.tobytes())
 
 
-def read_embeddings(path, renormalize: bool = False, role: Role = Role.QUERY) -> EmbeddingSet:
+def read_embeddings(path, renormalize: bool = False) -> EmbeddingSet:
     """Load an EMB1 file.
 
     ``renormalize=True`` rescales rows to exact unit norm, absorbing the
@@ -89,8 +89,8 @@ def read_embeddings(path, renormalize: bool = False, role: Role = Role.QUERY) ->
     """
     data = _read_matrix(path, b"EMB1")
     if renormalize:
-        return l2_normalize(data, role=role)
-    return EmbeddingSet(data, role=role, _adopt=True)
+        return l2_normalize(data)
+    return EmbeddingSet(data, _adopt=True)
 
 
 def write_embeddings(emb: EmbeddingSet, path) -> None:
@@ -102,9 +102,8 @@ def norm_deviation(emb: EmbeddingSet) -> float:
     return float(np.abs(np.linalg.norm(emb.data, axis=1) - 1.0).max())
 
 
-def read_similarity(path, row_role: Role = Role.QUERY, col_role: Role = Role.TARGET) -> SimilarityMatrix:
-    values = _read_matrix(path, b"SIM1")
-    return SimilarityMatrix(values, row_role=row_role, col_role=col_role, _adopt=True)
+def read_similarity(path) -> SimilarityMatrix:
+    return SimilarityMatrix(_read_matrix(path, b"SIM1"), _adopt=True)
 
 
 def write_similarity(S: SimilarityMatrix, path) -> None:

@@ -13,6 +13,9 @@ import numpy as np
 from .core import RankMatrix, SimilarityMatrix
 from .errors import DataError, IndexOutOfRange, ShapeMismatch
 
+#: Largest target index a ground truth can hold: rankings index in int64.
+_MAX_INDEX = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -33,6 +36,8 @@ class GroundTruth:
                 raise DataError(f"query {i} has no correct targets")
             if min(p) < 0:
                 raise IndexOutOfRange(f"query {i} has a negative target index")
+            if max(p) > _MAX_INDEX:
+                raise IndexOutOfRange(f"query {i} references target {max(p)}, beyond int64")
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod

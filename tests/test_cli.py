@@ -297,6 +297,81 @@ class TestMethodsMatchLibrary:
                 expected += f"{fraction:g}\t{method}\t{r1:.4f}\t{_skew_at_1(normalized):.6f}\t{gap:.6f}\n"
         assert out.read_text() == expected
 
+    def test_synth_writes_the_library_result(self, tmp_path):
+        (tmp_path / "cli").mkdir()
+        (tmp_path / "lib").mkdir()
+        assert main(_synth_args(tmp_path / "cli", pairs=30, dim=8, seed=7, banks=True,
+                                noise=0.3, bank_shift=0.2)) == 0
+        cfg = hk.SynthConfig(dim=8, n_pairs=30, noise_sigma=0.3, bank_shift=0.2, seed=7)
+        Q, T, gt = hk.generate_paired(cfg)
+        Bq, Bt = hk.generate_banks(cfg, base=(Q, T))
+        for name, emb in (("q", Q), ("t", T), ("bq", Bq), ("bt", Bt)):
+            hk.write_embeddings(emb, tmp_path / "lib" / f"{name}.emb")
+        write_ground_truth(gt, tmp_path / "lib" / "gt.txt")
+        for name in ("q.emb", "t.emb", "gt.txt", "bq.emb", "bt.emb"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_sim_writes_the_library_result(self, data, tmp_path, renormalize):
+        argv = ["sim", "--queries", str(data / "bq.emb"), "--targets", str(data / "t.emb"),
+                "--out", str(tmp_path / "cli.sim")]
+        assert main(argv + ["--renormalize"] * renormalize) == 0
+        X, Y = (hk.read_embeddings(data / f"{name}.emb", renormalize=renormalize) for name in ("bq", "t"))
+        write_similarity(hk.cosine_similarity_matrix(X, Y), tmp_path / "lib.sim")
+        assert (tmp_path / "cli.sim").read_bytes() == (tmp_path / "lib.sim").read_bytes()
+
+    @pytest.mark.parametrize("cost", ["euclidean", "one_minus_cosine"])
+    def test_emd_prints_the_library_value(self, data, capsys, cost):
+        assert main(["emd", "--x", str(data / "bq.emb"), "--y", str(data / "t.emb"), "--subsample", "16",
+                     "--repeats", "2", "--seed", "3", "--cost", cost]) == 0
+        cfg = hk.EmdConfig(subsample=16, repeats=2, seed=3, ground_cost=cost)
+        value = hk.emd(hk.read_embeddings(data / "bq.emb"), hk.read_embeddings(data / "t.emb"), cfg)
+        assert capsys.readouterr().out == f"{value:.10g}\n"
+
+    def test_diagnose_lines_are_the_library_composition(self, data, tmp_path):
+        out = tmp_path / "d.tsv"
+        assert main(["diagnose", "--sim", str(data / "raw.sim"), "--k", "3", "--out", str(out)]) == 0
+        S = read_similarity(data / "raw.sim")
+        occ = hk.k_occurrence(hk.row_topk_desc(S, 3), 3, targets=S.cols)
+        values, freqs = np.unique(occ.counts, return_counts=True)
+        expected = "".join(f"{v}\t{c}\n" for v, c in zip(values, freqs))
+        expected += f"skewness\t{hk.skewness(occ):.10g}\n"
+        expected += f"sparsity\t{np.mean(S.values < 1e-9 * S.values.max()):.10g}\n"
+        assert out.read_text() == expected
+
+    def test_evaluate_report_is_the_library_composition(self, data, tmp_path):
+        assert main(["evaluate", "--sim", str(data / "raw.sim"), "--gt", str(data / "gt.txt"), "--Ks", "1,5",
+                     "--skew-k", "3", "--out", str(tmp_path / "cli.json")]) == 0
+        S, gt = read_similarity(data / "raw.sim"), hk.read_ground_truth(data / "gt.txt")
+        skew = hk.skewness(hk.k_occurrence(hk.row_topk_desc(S, 3), 3, targets=S.cols))
+        hk.write_report(evaluate(S, gt, [1, 5], skew=skew), tmp_path / "lib.json")
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
+class TestLateBinding:
+    """The CLI looks library functions up on their modules when it calls them,
+    so a wrapper set on a module attribute after import is the one that runs."""
+
+    def test_calls_go_through_module_attributes(self, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((hk.retrieval, "evaluate"), (hk.io, "read_similarity"), (hk.scaling, "is_hubness")):
+            def record(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+        S = SimilarityMatrix(np.random.default_rng(8).uniform(-1, 1, (5, 6)))
+        write_similarity(S, tmp_path / "s.sim")
+        write_similarity(S, tmp_path / "b.sim")
+        write_ground_truth(GroundTruth.from_indices(range(5)), tmp_path / "gt.txt")
+        assert main(["evaluate", "--sim", str(tmp_path / "s.sim"), "--gt", str(tmp_path / "gt.txt"),
+                     "--Ks", "1", "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == ["read_similarity", "evaluate"]
+        calls.clear()
+        assert main(["normalize", "--input", str(tmp_path / "s.sim"), "--method", "is",
+                     "--bank-targets-sim", str(tmp_path / "b.sim"), "--out", str(tmp_path / "o.sim")]) == 0
+        assert calls == ["read_similarity", "read_similarity", "is_hubness"]
+
 
 class TestDiagnosticsCommands:
     def test_diagnose_output_shape(self, tmp_path):
@@ -453,6 +528,16 @@ class TestExitCodes:
         assert main(["diagnose", "--sim", str(sim), "--eps-rel", value, "--out", str(out)]) == 1
         assert not out.exists()
         assert main(["diagnose", "--sim", str(sim), "--eps-rel", "0", "--out", str(out)]) == 0
+
+    def test_ground_truth_index_beyond_int64_is_data_error(self, tmp_path, capsys):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.eye(3)), sim)
+        gt = tmp_path / "gt.txt"
+        gt.write_text("0\n1\n99999999999999999999\n")
+        assert main(["evaluate", "--sim", str(sim), "--gt", str(gt),
+                     "--Ks", "1", "--out", str(tmp_path / "r.json")]) == 2
+        assert "query 2" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_malformed_ground_truth_is_data_error(self, tmp_path):
         sim = tmp_path / "s.sim"

@@ -85,7 +85,7 @@ class TestCosineSimilarity:
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
         Q = l2_normalize(rng.standard_normal((5, 8)))
-        T = l2_normalize(rng.standard_normal((7, 8)), role=Role.TARGET)
+        T = l2_normalize(rng.standard_normal((7, 8)))
         S = cosine_similarity_matrix(Q, T)
         for i in range(5):
             for j in range(7):
@@ -94,14 +94,14 @@ class TestCosineSimilarity:
 
     def test_dim_mismatch(self):
         Q = l2_normalize(np.random.default_rng(3).standard_normal((2, 4)))
-        T = l2_normalize(np.random.default_rng(4).standard_normal((2, 5)), role=Role.TARGET)
+        T = l2_normalize(np.random.default_rng(4).standard_normal((2, 5)))
         with pytest.raises(DimMismatch):
             cosine_similarity_matrix(Q, T)
 
     def test_bounded(self):
         rng = np.random.default_rng(5)
         Q = l2_normalize(rng.standard_normal((20, 6)))
-        T = l2_normalize(rng.standard_normal((30, 6)), role=Role.TARGET)
+        T = l2_normalize(rng.standard_normal((30, 6)))
         S = cosine_similarity_matrix(Q, T)
         assert np.all(S.values <= 1.0 + 1e-12) and np.all(S.values >= -1.0 - 1e-12)
 

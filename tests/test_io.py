@@ -13,7 +13,6 @@ from hubkit import (
     GroundTruth,
     IoFailure,
     RetrievalReport,
-    Role,
     SimilarityMatrix,
     SizeMismatch,
     TruncatedFile,
@@ -73,11 +72,6 @@ class TestEmbeddingFiles:
         assert 0.0 < norm_deviation(stored) < 1e-6  # float32 quantization
         fixed = read_embeddings(path, renormalize=True)
         assert norm_deviation(fixed) <= 1e-12
-
-    def test_role_assignment(self, tmp_path):
-        path = tmp_path / "e.emb"
-        write_embeddings(EmbeddingSet(np.ones((2, 2))), path)
-        assert read_embeddings(path, role=Role.TARGET_BANK).role == Role.TARGET_BANK
 
 
 class TestFormatValidation:

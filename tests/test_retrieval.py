@@ -56,6 +56,11 @@ class TestGroundTruth:
         with pytest.raises(IndexOutOfRange):
             GroundTruth.from_indices([-1])
 
+    def test_rejects_index_beyond_int64(self):
+        GroundTruth.from_indices([2**63 - 1])
+        with pytest.raises(IndexOutOfRange, match="query 2"):
+            best_rank(_ranks(np.eye(3)), GroundTruth(({0}, {1}, {2**70})))
+
 
 class TestBestRank:
     def test_correct_target_first(self):
