@@ -91,6 +91,7 @@ from .sinkhorn import (
     SinkhornConfig,
     TransportPlan,
     dbsn,
+    dbsn_hubness,
     estimate_target_hubness,
     marginal_violation,
     plan_entropy,
@@ -142,6 +143,7 @@ __all__ = [
     "best_rank",
     "cosine_similarity_matrix",
     "dbsn",
+    "dbsn_hubness",
     "dis_subset",
     "dual_inverted_softmax",
     "dual_is_compensations",

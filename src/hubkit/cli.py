@@ -96,10 +96,6 @@ def _sn_cfg(tau, args):
     return sinkhorn.SinkhornConfig(tau=tau, max_iters=args.iters)
 
 
-def _sn(S, B, tau, args):
-    return scaling.apply_hubness(S, sinkhorn.estimate_target_hubness(B, _sn_cfg(tau, args)))
-
-
 def _uniform(S):
     return sinkhorn.Marginals.uniform(S.rows, S.cols)
 
@@ -115,50 +111,58 @@ def _l2n_plan(S, tau, args):
 _BANK = ("bank_targets_sim",)
 
 #: normalize's methods in --method order: name -> (default --tau, forms).
-#: A form is (bank flags, call).  ``call(S, *banks, tau, args)`` gets the
-#: bank matrices the flags name, in that order, and returns the normalized
-#: matrix.  A method runs its first form whose bank flags are all given:
-#: ``is`` and ``sn`` list their --bank-targets-sim form before the bank-free
-#: one.  Methods whose forms ignore tau have no default.
+#: A form is (bank flags, fits, call).  ``call`` gets the bank matrices the
+#: flags name, in that order, then tau and args.  A fitting form's call
+#: returns the HubnessVector that is added to S and does not see S, so it
+#: runs before S is read; any other form's call gets S first and returns the
+#: normalized matrix.  A method runs its first form whose bank flags are all
+#: given: ``is`` and ``sn`` list their --bank-targets-sim form before the
+#: bank-free one.  Methods whose forms ignore tau have no default.
 _METHODS = {
-    "none": (None, [((), lambda S, tau, args: S)]),
+    "none": (None, [((), False, lambda S, tau, args: S)]),
     "is": (0.02, [
-        (_BANK, lambda S, B, tau, args: scaling.apply_hubness(S, scaling.is_hubness(B, tau))),
-        ((), lambda S, tau, args: scaling.inverted_softmax(S, tau)),
+        (_BANK, True, lambda B, tau, args: scaling.is_hubness(B, tau)),
+        ((), False, lambda S, tau, args: scaling.inverted_softmax(S, tau)),
     ]),
     "dis": (0.02, [
-        (_BANK, lambda S, B, tau, args: scaling.dynamic_inverted_softmax(S, B, scaling.DISConfig(k=args.k), tau)),
+        (_BANK, False,
+         lambda S, B, tau, args: scaling.dynamic_inverted_softmax(S, B, scaling.DISConfig(k=args.k), tau)),
     ]),
     "dualis": (None, [
-        (("bank_targets_sim", "tbank_targets_sim"), lambda S, Bq, Bt, tau, args: scaling.dual_inverted_softmax(
-            S, Bq, Bt, scaling.DualISConfig(args.tau1, args.tau2))),
+        (("bank_targets_sim", "tbank_targets_sim"), False, lambda S, Bq, Bt, tau, args:
+         scaling.dual_inverted_softmax(S, Bq, Bt, scaling.DualISConfig(args.tau1, args.tau2))),
     ]),
-    "sn": (0.01, [(_BANK, _sn), ((), lambda S, tau, args: _sn(S, S, tau, args))]),
+    "sn": (0.01, [
+        (_BANK, True, lambda B, tau, args: sinkhorn.estimate_target_hubness(B, _sn_cfg(tau, args))),
+        ((), False, lambda S, tau, args: scaling.apply_hubness(
+            S, sinkhorn.estimate_target_hubness(S, _sn_cfg(tau, args)))),
+    ]),
     "dbsn": (0.01, [
-        (("bank_targets_sim", "bank_bank_sim"),
-         lambda S, Bt, Bb, tau, args: sinkhorn.dbsn(S, Bt, Bb, _sn_cfg(tau, args))),
+        (("bank_targets_sim", "bank_bank_sim"), True,
+         lambda Bt, Bb, tau, args: sinkhorn.dbsn_hubness(Bt, Bb, _sn_cfg(tau, args))),
     ]),
-    "otn": (None, [((), lambda S, tau, args: S.with_values(variants.otn(S, _uniform(S)).pi))]),
-    "l2n": (None, [((), _l2n_plan)]),
-    "hn": (None, [((), lambda S, tau, args: variants.hn_normalize(S, literal=args.hn_literal))]),
+    "otn": (None, [((), False, lambda S, tau, args: S.with_values(variants.otn(S, _uniform(S)).pi))]),
+    "l2n": (None, [((), False, _l2n_plan)]),
+    "hn": (None, [((), False, lambda S, tau, args: variants.hn_normalize(S, literal=args.hn_literal))]),
 }
 
 
 def _method(name: str, given) -> tuple:
-    """(default tau, bank flags, call) of the form of ``name`` that runs when
-    the bank flags in ``given`` are set; a missing bank flag is a usage error."""
+    """(default tau, bank flags, fits, call) of the form of ``name`` that runs
+    when the bank flags in ``given`` are set; a missing bank flag is a usage
+    error."""
     tau, forms = _METHODS[name]
-    for banks, call in forms:
+    for banks, fits, call in forms:
         missing = [flag for flag in banks if flag not in given]
         if not missing:
-            return tau, banks, call
+            return tau, banks, fits, call
     raise _UsageError(f"--{missing[0].replace('_', '-')} is required for --method {name}")
 
 
 def _occurrence_skew(S, k: int) -> tuple:
     """S's top-k occurrence counts and their skewness; constant counts
     read 0 without a ZeroVarianceWarning."""
-    occ = diagnostics.k_occurrence(core.row_topk_desc(S, k), k, targets=S.cols)
+    occ = diagnostics.k_occurrence(core.row_topk_desc(S, k), k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", errors.ZeroVarianceWarning)
         return occ, diagnostics.skewness(occ)
@@ -202,10 +206,17 @@ def _cmd_sim(args) -> int:
 
 def _cmd_normalize(args) -> int:
     flags = ("bank_targets_sim", "bank_bank_sim", "tbank_targets_sim")
-    tau, banks, call = _method(args.method, {flag for flag in flags if getattr(args, flag) is not None})
-    S = io.read_similarity(args.input)
-    matrices = [io.read_similarity(getattr(args, flag)) for flag in banks]
-    io.write_similarity(call(S, *matrices, tau if args.tau is None else args.tau, args), args.out)
+    tau, banks, fits, call = _method(args.method, {flag for flag in flags if getattr(args, flag) is not None})
+    tau = tau if args.tau is None else args.tau
+    read_banks = (io.read_similarity(getattr(args, flag)) for flag in banks)
+    if fits:
+        # the bank matrices are dropped once h is fitted, before S is read
+        h = call(*read_banks, tau, args)
+        out = scaling.apply_hubness(io.read_similarity(args.input), h)
+    else:
+        S = io.read_similarity(args.input)
+        out = call(S, *read_banks, tau, args)
+    io.write_similarity(out, args.out)
     return 0
 
 
@@ -245,7 +256,7 @@ def _cmd_sweep_tau(args) -> int:
     lines = []
     for tau in args.taus:
         for method in ("is", "sn"):
-            call = _method(method, ())[2]
+            call = _method(method, ())[3]
             report = retrieval.evaluate(call(S, tau, args), gt, [1], normalization=method)
             lines.append(f"{tau:g}\t{method}\t{report.r_at[1]:.4f}")
     _write_lines(args.out, lines)
@@ -273,8 +284,9 @@ def _cmd_banksweep(args) -> int:
         gap = diagnostics.emd(bq, T, emd_cfg)
         for method in ("is", "sn", "dbsn"):
             # IS keeps its default temperature; --tau sets SN and DBSN.
-            tau, flags, call = _method(method, banks)
-            normalized = call(S, *(banks[flag] for flag in flags), tau if method == "is" else args.tau, args)
+            tau, flags, _, fit = _method(method, banks)
+            h = fit(*(banks[flag] for flag in flags), tau if method == "is" else args.tau, args)
+            normalized = scaling.apply_hubness(S, h)
             report = retrieval.evaluate(normalized, gt, [1], normalization=method)
             skew = _occurrence_skew(normalized, 1)[1]
             lines.append(f"{fraction:g}\t{method}\t{report.r_at[1]:.4f}\t{skew:.6f}\t{gap:.6f}")

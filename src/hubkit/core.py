@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimMismatch, KOutOfRange, NonFiniteInput, ZeroVectorRow
+from .errors import DimMismatch, KOutOfRange, NonFiniteInput, ShapeMismatch, ZeroVectorRow
 
 
 class Role(Enum):
@@ -116,18 +116,24 @@ class RankMatrix:
     """Per-row permutations of column indices, best score first.
 
     Ties are broken by ascending column index, so the order is deterministic
-    for any input.  A top-k ranking holds only the first k columns.
+    for any input.  ``targets`` is the number of columns ranked over (by
+    default the row length); a top-k ranking holds only the first k of them.
     ``_adopt`` is as for :class:`SimilarityMatrix`.
     """
 
     order: np.ndarray = field()
+    targets: int | None = None
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
         order = np.asarray(self.order, dtype=np.int64)
         if order.ndim != 2:
             raise NonFiniteInput(f"rank order must be 2-D, got shape {order.shape}")
+        targets = order.shape[1] if self.targets is None else int(self.targets)
+        if targets < order.shape[1]:
+            raise ShapeMismatch(f"rank rows of {order.shape[1]} columns over {targets} targets")
         object.__setattr__(self, "order", _freeze(order, dtype=np.int64, adopt=_adopt))
+        object.__setattr__(self, "targets", targets)
 
     @property
     def rows(self) -> int:
@@ -277,4 +283,4 @@ def row_topk_desc(S: SimilarityMatrix, k: int) -> RankMatrix:
         raise KOutOfRange(k, S.cols)
     order = np.empty((S.rows, k), dtype=np.int64)
     _by_row_blocks(S.values, order, partial(_topk_block, k=k))
-    return RankMatrix(order, _adopt=True)
+    return RankMatrix(order, targets=S.cols, _adopt=True)

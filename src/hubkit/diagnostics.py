@@ -60,16 +60,16 @@ class EmdConfig:
             raise DataError(f"unknown ground cost {self.ground_cost!r}")
 
 
-def k_occurrence(ranks: RankMatrix, k: int, targets: int | None = None) -> KOccurrence:
+def k_occurrence(ranks: RankMatrix, k: int) -> KOccurrence:
     """Count, per target, the queries whose top-k contains it.
 
     ``ranks`` may hold only the first columns of each row's order (see
-    :func:`~hubkit.core.row_topk_desc`); ``targets`` then gives the number
-    of targets, which defaults to ``ranks.cols``.
+    :func:`~hubkit.core.row_topk_desc`); every one of its ``targets`` gets a
+    count.
     """
     if not 1 <= k <= ranks.cols:
         raise KOutOfRange(k, ranks.cols)
-    counts = np.bincount(ranks.order[:, :k].ravel(), minlength=targets or ranks.cols)
+    counts = np.bincount(ranks.order[:, :k].ravel(), minlength=ranks.targets)
     return KOccurrence(k=k, counts=counts)
 
 

@@ -6,7 +6,9 @@ in row-major order.  SIM1 (similarity matrices) is identical with magic
 ``SIM1`` and a rows/cols header.  Values are float32 on disk and float64 in
 memory; a write-then-read round trip is bit-exact at single precision.
 Writers raise ``NonFiniteInput``, and write nothing, when a value is NaN,
-infinite, or beyond float32's range.
+infinite, or beyond float32's range.  They stream the header and then the
+float32 buffer itself to the file, so a write holds one float32 copy of the
+values and no joined byte string.
 
 Readers validate before returning anything: wrong magic, truncated payloads,
 oversized payloads, and zero-size headers are all hard errors naming the
@@ -33,10 +35,12 @@ def _read_file(path) -> bytes:
         raise IoFailure(path, str(exc)) from exc
 
 
-def _write_file(path, payload: bytes) -> None:
+def _write_file(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path``, in order, with no joined copy."""
     try:
         with open(path, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise IoFailure(path, str(exc)) from exc
 
@@ -74,10 +78,11 @@ def _write_matrix(path, magic: bytes, values: np.ndarray) -> None:
     rows, cols = values.shape
     with np.errstate(over="ignore"):
         data = np.ascontiguousarray(values, dtype="<f4")
-    bad = data.size - np.count_nonzero(np.isfinite(data))
-    if bad:
+    # min and max are NaN or infinite iff some value is, with no mask buffer
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        bad = data.size - np.count_nonzero(np.isfinite(data))
         raise NonFiniteInput(f"{path}: {bad} of {data.size} values are not finite in float32; nothing written")
-    _write_file(path, _HEADER.pack(magic, rows, cols) + data.tobytes())
+    _write_file(path, _HEADER.pack(magic, rows, cols), memoryview(data).cast("B"))
 
 
 def read_embeddings(path, renormalize: bool = False) -> EmbeddingSet:

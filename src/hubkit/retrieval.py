@@ -96,10 +96,15 @@ def best_rank(ranks: RankMatrix, gt: GroundTruth) -> np.ndarray:
     :func:`row_argsort_desc`; a top-k ranking is refused with ShapeMismatch.
     """
     order = ranks.order
+    if ranks.cols != ranks.targets:
+        raise ShapeMismatch(
+            f"best_rank needs full row permutations, but rank rows hold {ranks.cols} "
+            f"of {ranks.targets} targets (a top-k ranking)"
+        )
     if order.size and (order.min() < 0 or order.max() >= ranks.cols):
         raise ShapeMismatch(
             f"best_rank needs full row permutations, but rank rows of {ranks.cols} columns "
-            f"hold column indices {order.min()}..{order.max()} (a top-k ranking?)"
+            f"hold column indices {order.min()}..{order.max()}"
         )
     pair_rows, cols, starts = _truth_pairs(gt, ranks.rows, ranks.cols)
     positions = np.empty_like(order)

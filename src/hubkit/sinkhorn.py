@@ -145,12 +145,25 @@ _ABSORB = 200.0
 _LOST = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
-def _sinkhorn_duals(V: np.ndarray, a: np.ndarray | None, b: np.ndarray, cfg: SinkhornConfig):
+def _gather(blocks: tuple, lost: np.ndarray, on_rows: bool) -> np.ndarray:
+    """``V[lost]`` (on rows) or ``V[:, lost].T`` of the matrix V whose column
+    blocks are ``blocks``, laid out in memory as that indexing lays it out."""
+    if on_rows:
+        return np.concatenate([B[lost] for B in blocks], axis=1)
+    edges = np.cumsum([0] + [B.shape[1] for B in blocks])
+    return np.concatenate([B[:, lost[(lost >= lo) & (lost < hi)] - lo].T
+                           for B, lo, hi in zip(blocks, edges, edges[1:])])
+
+
+def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: SinkhornConfig):
     """Potentials of the balancing, without the plan: ``(f, g, sweeps,
     row_residual, converged)``; the residual is the L1 row residual of (f, g)
     after the last sweep (0 when rows are free).
 
-    Each update multiplies ``K = exp((V + F + G) / tau)`` by the scaling
+    The scores V are given as a tuple of column blocks (one matrix is one
+    block), so matrices that share their rows are balanced as one without
+    being stacked: only the kernel spans every column.  Each update
+    multiplies ``K = exp((V + F + G) / tau)`` by the scaling
     ``exp((g - G) / tau)`` or ``exp((f - F) / tau)``.  The anchors F, G start
     at minus the row (or, rows free, column) maxima and take the values of
     f, g when a scaling leaves ``e^+-_ABSORB``, so K never exceeds 1.  Column
@@ -158,15 +171,19 @@ def _sinkhorn_duals(V: np.ndarray, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     columns get equal ``g`` (BLAS rounds the columns of a tail block apart).
     """
     tau = cfg.tau
-    m, n = V.shape
+    m, n = blocks[0].shape[0], sum(B.shape[1] for B in blocks)
     log_a, log_b = None if a is None else np.log(a), np.log(b)
-    F = np.zeros(m) if a is None else -V.max(axis=1)
-    G = -V.max(axis=0) if a is None else np.zeros(n)
-    K = np.empty_like(V)
+    F = np.zeros(m) if a is None else -np.maximum.reduce([B.max(axis=1) for B in blocks])
+    G = -np.concatenate([B.max(axis=0) for B in blocks]) if a is None else np.zeros(n)
+    K = np.empty((m, n))
 
     def absorb(f, g):
         F[:], G[:] = f, g
-        np.add(V, F[:, None], out=K)
+        lo = 0
+        for B in blocks:
+            hi = lo + B.shape[1]
+            np.add(B, F[:, None], out=K[:, lo:hi])
+            lo = hi
         np.add(K, G, out=K)
         np.divide(K, tau, out=K)
         np.exp(K, out=K)
@@ -179,7 +196,7 @@ def _sinkhorn_duals(V: np.ndarray, a: np.ndarray | None, b: np.ndarray, cfg: Sin
             pot = anchor + tau * (log_marg - np.log(s))
         lost = np.flatnonzero(~(s >= w.sum() * _LOST))
         if lost.size:
-            X = ((V[lost] if on_rows else V[:, lost].T) + other) / tau
+            X = (_gather(blocks, lost, on_rows) + other) / tau
             top = X.max(axis=1)
             pot[lost] = tau * (log_marg[lost] - top - np.log(np.exp(X - top[:, None]).sum(axis=1)))
         if np.abs(pot - anchor).max() > _ABSORB * tau:
@@ -203,10 +220,10 @@ def _sinkhorn_duals(V: np.ndarray, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     return f, g, sweep + 1, residual, converged
 
 
-def _balanced_g(V: np.ndarray, cfg: SinkhornConfig) -> np.ndarray:
-    """Column potential of the balancing under uniform marginals."""
-    m, n = V.shape
-    return _sinkhorn_duals(V, np.full(m, 1.0 / m), np.full(n, 1.0 / n), cfg)[1]
+def _balanced_g(blocks: tuple, cfg: SinkhornConfig) -> np.ndarray:
+    """Column potential of the balancing of the column blocks under uniform marginals."""
+    m, n = blocks[0].shape[0], sum(B.shape[1] for B in blocks)
+    return _sinkhorn_duals(blocks, np.full(m, 1.0 / m), np.full(n, 1.0 / n), cfg)[1]
 
 
 def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
@@ -220,7 +237,7 @@ def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = Sinkhor
     """
     _check_shapes(S, marg)
     V = S.values
-    f, g, iterations, _, converged = _sinkhorn_duals(V, marg.a, marg.b, cfg)
+    f, g, iterations, _, converged = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
     pi = V + f[:, None]  # exp((V + f + g) / tau), in one buffer
     pi += g
     pi /= cfg.tau
@@ -258,7 +275,30 @@ def estimate_target_hubness(
     returns the column potential ``g`` in the additive convention (the
     normalized score is ``S + g``).
     """
-    return HubnessVector(_balanced_g(S_bank_targets.values, cfg), temperature=cfg.tau)
+    return HubnessVector(_balanced_g((S_bank_targets.values,), cfg), temperature=cfg.tau)
+
+
+def dbsn_hubness(
+    S_bq_targets: SimilarityMatrix,
+    S_bq_tbank: SimilarityMatrix | None,
+    cfg: SinkhornConfig = SinkhornConfig(),
+) -> HubnessVector:
+    """Dual-bank per-target compensation: the targets' share of the column
+    potential from balancing the query bank against [targets | target bank].
+
+    The two bank matrices are balanced as column blocks of one problem,
+    never stacked, so the kernel is the only buffer that spans both.
+    ``S_bq_tbank=None`` means an empty target bank, which reduces to
+    :func:`estimate_target_hubness`.
+    """
+    blocks = (S_bq_targets.values,)
+    if S_bq_tbank is not None:
+        if S_bq_tbank.rows != S_bq_targets.rows:
+            raise RowMismatch(
+                f"bank similarity rows disagree: {S_bq_targets.rows} vs {S_bq_tbank.rows}"
+            )
+        blocks += (S_bq_tbank.values,)
+    return HubnessVector(_balanced_g(blocks, cfg)[: S_bq_targets.cols], temperature=cfg.tau)
 
 
 def dbsn(
@@ -267,33 +307,26 @@ def dbsn(
     S_bq_tbank: SimilarityMatrix | None,
     cfg: SinkhornConfig = SinkhornConfig(),
 ) -> SimilarityMatrix:
-    """Dual-bank Sinkhorn normalization.
+    """Dual-bank Sinkhorn normalization: S plus :func:`dbsn_hubness`.
 
     Extends the target columns with target-bank columns before estimating
     hubness against the query bank, then applies only the first n entries of
     the estimate (the true targets' share) to S.  The bank extension narrows
     the distribution gap between the query bank and the column set it is
-    balanced against.  ``S_bq_tbank=None`` means an empty target bank, which
-    reduces to single-bank estimation.
+    balanced against.
     """
     if S_bq_targets.cols != S.cols:
         raise ColMismatch(f"{S.cols} target columns vs {S_bq_targets.cols} bank-target columns")
-    extended = S_bq_targets.values
-    if S_bq_tbank is not None:
-        if S_bq_tbank.rows != S_bq_targets.rows:
-            raise RowMismatch(
-                f"bank similarity rows disagree: {S_bq_targets.rows} vs {S_bq_tbank.rows}"
-            )
-        extended = np.hstack([extended, S_bq_tbank.values])
-    return apply_hubness(S, HubnessVector(_balanced_g(extended, cfg)[: S.cols], temperature=cfg.tau))
+    return apply_hubness(S, dbsn_hubness(S_bq_targets, S_bq_tbank, cfg))
 
 
 def plan_entropy(plan: TransportPlan) -> float:
     """``sum -pi_ij (log pi_ij - 1)`` with the 0 log 0 = 0 convention."""
     pi = plan.pi
     positive = pi > 0.0
-    terms = np.zeros_like(pi)
-    terms[positive] = -pi[positive] * (np.log(pi[positive]) - 1.0)
+    terms = np.log(pi, out=np.zeros_like(pi), where=positive)
+    np.subtract(1.0, terms, out=terms, where=positive)  # -(log pi - 1), exactly
+    np.multiply(terms, pi, out=terms, where=positive)
     return float(terms.sum())
 
 

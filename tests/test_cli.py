@@ -3,6 +3,8 @@
 import filecmp
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -332,7 +334,7 @@ class TestMethodsMatchLibrary:
         out = tmp_path / "d.tsv"
         assert main(["diagnose", "--sim", str(data / "raw.sim"), "--k", "3", "--out", str(out)]) == 0
         S = read_similarity(data / "raw.sim")
-        occ = hk.k_occurrence(hk.row_topk_desc(S, 3), 3, targets=S.cols)
+        occ = hk.k_occurrence(hk.row_topk_desc(S, 3), 3)
         values, freqs = np.unique(occ.counts, return_counts=True)
         expected = "".join(f"{v}\t{c}\n" for v, c in zip(values, freqs))
         expected += f"skewness\t{hk.skewness(occ):.10g}\n"
@@ -343,7 +345,7 @@ class TestMethodsMatchLibrary:
         assert main(["evaluate", "--sim", str(data / "raw.sim"), "--gt", str(data / "gt.txt"), "--Ks", "1,5",
                      "--skew-k", "3", "--out", str(tmp_path / "cli.json")]) == 0
         S, gt = read_similarity(data / "raw.sim"), hk.read_ground_truth(data / "gt.txt")
-        skew = hk.skewness(hk.k_occurrence(hk.row_topk_desc(S, 3), 3, targets=S.cols))
+        skew = hk.skewness(hk.k_occurrence(hk.row_topk_desc(S, 3), 3))
         hk.write_report(evaluate(S, gt, [1, 5], skew=skew), tmp_path / "lib.json")
         assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
@@ -370,7 +372,8 @@ class TestLateBinding:
         calls.clear()
         assert main(["normalize", "--input", str(tmp_path / "s.sim"), "--method", "is",
                      "--bank-targets-sim", str(tmp_path / "b.sim"), "--out", str(tmp_path / "o.sim")]) == 0
-        assert calls == ["read_similarity", "read_similarity", "is_hubness"]
+        # the bank is read and fitted before --input is read
+        assert calls == ["read_similarity", "is_hubness", "read_similarity"]
 
 
 class TestDiagnosticsCommands:
@@ -445,6 +448,37 @@ class TestExitCodes:
         bad = tmp_path / "bad.sim"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)
         assert main(["normalize", "--input", str(bad), "--method", "is", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("method", [
+        ["--method", "is", "--bank-targets-sim", "qt"],
+        ["--method", "sn", "--bank-targets-sim", "qt"],
+        ["--method", "dbsn", "--bank-targets-sim", "qt", "--bank-bank-sim", "qb"],
+    ], ids=["is", "sn", "dbsn"])
+    def test_malformed_input_after_valid_banks_is_data_error(self, tmp_path, capsys, method):
+        # the banks are read and fitted first; the input's error still ends the run
+        rng = np.random.default_rng(35)
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 6))), tmp_path / "qt.sim")
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 3))), tmp_path / "qb.sim")
+        bad = tmp_path / "bad.sim"
+        bad.write_bytes(b"SIM1" + struct.pack("<II", 6, 6) + b"\x00" * 20)
+        out = tmp_path / "o.sim"
+        argv = ["normalize", "--input", str(bad), "--out", str(out)]
+        argv += [str(tmp_path / f"{flag}.sim") if flag in ("qt", "qb") else flag for flag in method]
+        assert main(argv) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dbsn_column_mismatch_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(36)
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (5, 6))), tmp_path / "s.sim")
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 7))), tmp_path / "qt.sim")
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 3))), tmp_path / "qb.sim")
+        out = tmp_path / "o.sim"
+        assert main(["normalize", "--input", str(tmp_path / "s.sim"), "--method", "dbsn",
+                     "--bank-targets-sim", str(tmp_path / "qt.sim"), "--bank-bank-sim", str(tmp_path / "qb.sim"),
+                     "--out", str(out)]) == 2
+        assert {"6", "7"} <= set(re.findall(r"\d+", capsys.readouterr().err))
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--iters", "--tau", "--tau1", "--tau2"])
     @pytest.mark.parametrize("value", ["0", "-1"])

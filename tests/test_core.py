@@ -28,7 +28,7 @@ from hubkit import (
     write_embeddings,
     write_similarity,
 )
-from hubkit.errors import KOutOfRange
+from hubkit.errors import KOutOfRange, ShapeMismatch
 
 
 class TestL2Normalize:
@@ -347,6 +347,13 @@ class TestContainers:
         order[0, 0] = 0
         assert S.values[0, 0] == 0.1 and R.order[0, 0] == 1
         assert S.with_values(values).values is not values
+
+    def test_rank_matrix_records_its_target_count(self):
+        assert RankMatrix(np.array([[1, 0, 2]])).targets == 3
+        assert RankMatrix(np.array([[3, 0]]), targets=5).targets == 5
+        assert row_topk_desc(SimilarityMatrix(np.eye(4)), 2).targets == 4
+        with pytest.raises(ShapeMismatch):
+            RankMatrix(np.array([[1, 0, 2]]), targets=2)
 
     def test_library_results_are_not_copied(self, monkeypatch, tmp_path):
         """Fresh results are frozen in place: no second m x n buffer."""

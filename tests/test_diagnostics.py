@@ -68,7 +68,7 @@ class TestKOccurrence:
         V = np.random.default_rng(49).uniform(-1, 1, (20, 15))
         V[:, -1] = -2.0  # in no top-k below k = 15, yet counted
         for k in (1, 3, 15):
-            top = k_occurrence(row_topk_desc(SimilarityMatrix(V), k), k, targets=15)
+            top = k_occurrence(row_topk_desc(SimilarityMatrix(V), k), k)
             np.testing.assert_array_equal(top.counts, k_occurrence(_ranks(V), k).counts)
 
     def test_k_bounds(self):

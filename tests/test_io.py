@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ class TestFormatValidation:
         top = float(np.finfo(np.float32).max)
         write_similarity(SimilarityMatrix(np.array([[top, -top]])), tmp_path / "s.sim")
         assert read_similarity(tmp_path / "s.sim").values.tolist() == [[top, -top]]
+
+
+class TestWriteMemory:
+    @pytest.mark.parametrize("write, wrap", [(write_similarity, SimilarityMatrix), (write_embeddings, EmbeddingSet)],
+                             ids=["SIM1", "EMB1"])
+    def test_write_holds_one_float32_copy(self, tmp_path, write, wrap):
+        """The float32 values are streamed to the file: no byte-string copies."""
+        value = wrap(np.random.default_rng(62).uniform(-1, 1, (500, 400)))
+        tracemalloc.start()
+        try:
+            write(value, tmp_path / "out.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 500 * 400 * 4
+        assert (tmp_path / "out.bin").stat().st_size == _HEADER.size + 500 * 400 * 4
 
 
 class TestSimilarityFiles:

@@ -106,6 +106,15 @@ class TestBestRank:
         with pytest.raises(ShapeMismatch, match="full row permutations"):
             best_rank(row_topk_desc(S, 2), GroundTruth.identity(2))
 
+    def test_top_k_ranking_of_the_first_columns_is_refused(self):
+        # every row picks columns 0..k-1, so only the target count tells it
+        # from a full ranking over k targets
+        S = SimilarityMatrix(np.array([[0.9, 0.8, 0.1, 0.2]]))
+        ranks = row_topk_desc(S, 2)
+        assert (ranks.cols, ranks.targets) == (2, 4)
+        with pytest.raises(ShapeMismatch, match="full row permutations"):
+            best_rank(ranks, GroundTruth.from_indices([3]))
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_per_query_reference(self, data):

@@ -1,5 +1,6 @@
 """Entropic transport solver, Sinkhorn normalization, and the dual-bank form."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from hubkit import (
     ZeroMarginalEntry,
     apply_hubness,
     dbsn,
+    dbsn_hubness,
     estimate_target_hubness,
     hn,
     inverted_softmax,
@@ -30,7 +32,7 @@ from hubkit import (
     sinkhorn,
     sn_normalize,
 )
-from hubkit.sinkhorn import _sinkhorn_duals
+from hubkit.sinkhorn import _gather, _sinkhorn_duals
 
 
 def _naive_sinkhorn(V, a, b, tau, sweeps):
@@ -376,7 +378,7 @@ class TestScalingDomainMatchesLogDomain:
         f_ref, g_ref, sweeps_ref, converged_ref = _log_domain_reference(
             V, marg.a, marg.b, cfg.tau, cfg.max_iters, cfg.tol
         )
-        f, g, sweeps, residual, converged = _sinkhorn_duals(V, marg.a, marg.b, cfg)
+        f, g, sweeps, residual, converged = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
         assert (sweeps, converged) == (sweeps_ref, converged_ref)
         assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
         assert np.all(np.abs(g - g_ref) <= 1e-9 * np.maximum(1.0, np.abs(g_ref)))
@@ -413,8 +415,62 @@ class TestScalingDomainMatchesLogDomain:
         # column update must not
         rng = np.random.default_rng(41)
         V = np.repeat(rng.uniform(-1, 1, (37, 1)), 43, axis=1)
-        _, g, _, _, _ = _sinkhorn_duals(V, np.full(37, 1 / 37), np.full(43, 1 / 43), SinkhornConfig())
+        _, g, _, _, _ = _sinkhorn_duals((V,), np.full(37, 1 / 37), np.full(43, 1 / 43), SinkhornConfig())
         assert np.all(g == g[0])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dbsn_hubness_equals_the_stacked_fit(self, data):
+        """Balancing the two bank blocks is bit for bit the balancing of their
+        stack, lost sums ("sunken" and "subnormal" columns) included."""
+        V, cfg = _reference_inputs(data)
+        for c in data.draw(st.lists(st.integers(0, V.shape[1] - 1), max_size=4)):
+            V[:, c] = -800.0 * cfg.tau - 1.0  # more lost columns, in either block
+        n = data.draw(st.integers(1, V.shape[1]))
+        tbank = SimilarityMatrix(V[:, n:]) if n < V.shape[1] else None
+        h = dbsn_hubness(SimilarityMatrix(V[:, :n]), tbank, cfg)
+        ref = estimate_target_hubness(SimilarityMatrix(V), cfg).values[:n]
+        np.testing.assert_array_equal(h.values.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("column", [1, 6])
+    def test_dbsn_hubness_recovers_lost_column_sums_in_either_block(self, monkeypatch, column):
+        V = np.random.default_rng(44).uniform(-1, 1, (7, 9))
+        V[:, column] = -9.0  # exp(V / tau) underflows the whole column at tau = 0.01
+        gathered = []
+
+        def spy(blocks, lost, on_rows):
+            gathered.append((len(blocks), on_rows, lost.tolist()))
+            return _gather(blocks, lost, on_rows)
+
+        monkeypatch.setattr(sys.modules["hubkit.sinkhorn"], "_gather", spy)
+        h = dbsn_hubness(SimilarityMatrix(V[:, :4]), SimilarityMatrix(V[:, 4:]), SinkhornConfig())
+        assert (2, False, [column]) in gathered
+        monkeypatch.undo()
+        ref = estimate_target_hubness(SimilarityMatrix(V)).values[:4]
+        np.testing.assert_array_equal(h.values.view(np.uint64), ref.view(np.uint64))
+
+    def test_gather_lays_out_the_stacked_rows_and_columns(self):
+        V = np.random.default_rng(45).uniform(-1, 1, (6, 9))
+        blocks = (V[:, :2].copy(), V[:, 2:7].copy(), V[:, 7:].copy())
+        for on_rows, lost in ((True, [1, 4]), (True, [0, 2, 3, 5]), (False, [1, 7]), (False, [0, 2, 6, 8]),
+                              (False, [3, 4]), (False, [0, 1, 2, 3, 4, 5, 6, 7, 8])):
+            got = _gather(blocks, np.array(lost), on_rows)
+            ref = V[lost] if on_rows else V[:, lost].T
+            # the sums over the gathered rows add in the order the layout sets
+            assert got.strides == ref.strides and np.array_equal(got, ref)
+
+    def test_dbsn_hubness_peak_memory(self):
+        """The kernel is the only buffer that spans both bank blocks: no stack."""
+        rng = np.random.default_rng(43)
+        Bt = SimilarityMatrix(rng.uniform(-1, 1, (250, 1200)))
+        Bb = SimilarityMatrix(rng.uniform(-1, 1, (250, 800)))
+        tracemalloc.start()
+        try:
+            dbsn_hubness(Bt, Bb, SinkhornConfig(tau=0.01, max_iters=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 250 * 2000 * 8
 
     def test_sn_normalize_peak_memory(self):
         """One kernel buffer and the result: no plan, no per-sweep temporaries."""
