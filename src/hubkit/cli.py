@@ -210,6 +210,12 @@ def _cmd_normalize(args) -> int:
     tau = tau if args.tau is None else args.tau
     read_banks = (io.read_similarity(getattr(args, flag)) for flag in banks)
     if fits:
+        # h covers the bank-targets file's columns: refuse an --input of
+        # another width from the two headers, before the fit runs
+        bank = getattr(args, banks[0])
+        cols, bank_cols = io.similarity_shape(args.input)[1], io.similarity_shape(bank)[1]
+        if cols != bank_cols:
+            raise errors.ColMismatch(f"{args.input} has {cols} target columns but {bank} has {bank_cols}")
         # the bank matrices are dropped once h is fitted, before S is read
         h = call(*read_banks, tau, args)
         out = scaling.apply_hubness(io.read_similarity(args.input), h)

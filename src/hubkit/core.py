@@ -1,9 +1,13 @@
 """Embedding sets, cosine similarity, and rank extraction.
 
-All numeric work is done in float64 regardless of on-disk precision; the
-Sinkhorn solver at temperature 0.01 needs the headroom.  Arrays stored in the
-domain types are made read-only so every operation stays a pure function of
-immutable inputs.
+SIM1 values stay float32; every kernel computes in float64.  A
+:class:`SimilarityMatrix` keeps float32 scores (a SIM1 file's) at that
+precision and stores any other dtype as float64; each kernel widens what it
+reads before any arithmetic, so a float32-stored matrix gives the same bits
+as its float64 widening, and the Sinkhorn solver at temperature 0.01 keeps
+its headroom.  Embeddings are float64.  Arrays stored in the domain types
+are made read-only so every operation stays a pure function of immutable
+inputs.
 """
 
 import os
@@ -40,6 +44,17 @@ def _freeze(arr: np.ndarray, dtype=np.float64, adopt: bool = False) -> np.ndarra
     return out
 
 
+#: Values per slice of :func:`_all_finite`; its mask takes one byte a value.
+_FINITE_BLOCK_VALUES = 1 << 16
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """No NaN or infinity in the 2-D ``arr``, checked a slice of rows at a
+    time, so the mask never spans the matrix."""
+    rows = max(1, _FINITE_BLOCK_VALUES // max(1, arr.shape[1]))
+    return all(np.isfinite(arr[lo:lo + rows]).all() for lo in range(0, arr.shape[0], rows))
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """A set of d-dimensional vectors, one per row.
@@ -57,7 +72,7 @@ class EmbeddingSet:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise NonFiniteInput(f"embedding data must be a nonempty 2-D matrix, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
+        if not _all_finite(data):
             raise NonFiniteInput("embedding data contains NaN or Inf")
         object.__setattr__(self, "data", _freeze(data, adopt=_adopt))
 
@@ -76,6 +91,7 @@ class SimilarityMatrix:
 
     ``row_role`` / ``col_role`` record which embedding sets produced it
     (e.g. query-bank rows against target columns for hubness estimation).
+    float32 values stay float32; any other dtype is stored as float64.
     ``_adopt=True`` is for the library's own fresh results: it freezes them
     in place instead of copying (see :func:`_freeze`).
     """
@@ -86,12 +102,14 @@ class SimilarityMatrix:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        dtype = np.float32 if values.dtype == np.float32 else np.float64
+        values = np.asarray(values, dtype=dtype)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise NonFiniteInput(f"similarity values must be a nonempty 2-D matrix, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise NonFiniteInput("similarity values contain NaN or Inf")
-        object.__setattr__(self, "values", _freeze(values, adopt=_adopt))
+        object.__setattr__(self, "values", _freeze(values, dtype=dtype, adopt=_adopt))
 
     @property
     def rows(self) -> int:

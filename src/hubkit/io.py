@@ -3,8 +3,11 @@
 EMB1 (embeddings): magic ``EMB1``, then rows and dim as unsigned 32-bit
 little-endian integers, then rows*dim IEEE-754 float32 little-endian values
 in row-major order.  SIM1 (similarity matrices) is identical with magic
-``SIM1`` and a rows/cols header.  Values are float32 on disk and float64 in
-memory; a write-then-read round trip is bit-exact at single precision.
+``SIM1`` and a rows/cols header.  Values are float32 on disk.  SIM1 values
+stay float32 in memory, read straight into the matrix's own array; every
+kernel computes in float64.  EMB1 values are widened to float64 on reading,
+so the cosine product runs in float64.  A write-then-read round trip is
+bit-exact at single precision.
 Writers raise ``NonFiniteInput``, and write nothing, when a value is NaN,
 infinite, or beyond float32's range.  They stream the header and then the
 float32 buffer itself to the file, so a write holds one float32 copy of the
@@ -12,25 +15,32 @@ values and no joined byte string.
 
 Readers validate before returning anything: wrong magic, truncated payloads,
 oversized payloads, and zero-size headers are all hard errors naming the
-file and the byte offset where the problem sits.
+file and the byte offset where the problem sits.  A regular file's size is
+checked against its header before any value is read.
 """
 
 import json
+import os
+import stat
 import struct
 
 import numpy as np
 
-from .core import EmbeddingSet, SimilarityMatrix, l2_normalize
-from .errors import BadMagic, DataError, IoFailure, NonFiniteInput, SizeMismatch, TruncatedFile
+from .core import EmbeddingSet, SimilarityMatrix, _all_finite, l2_normalize
+from .errors import BadMagic, DataError, FileFormatError, IoFailure, NonFiniteInput, SizeMismatch, TruncatedFile
 from .retrieval import GroundTruth, RetrievalReport
 
 _HEADER = struct.Struct("<4sII")
 
 
-def _read_file(path) -> bytes:
+def _read_file(path, read=lambda fh: fh.read()):
+    """``read(fh)`` of ``path`` opened for binary reading; the whole file's
+    bytes by default."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            return read(fh)
+    except FileFormatError:  # an OSError too: ``read`` found the format wrong
+        raise
     except OSError as exc:
         raise IoFailure(path, str(exc)) from exc
 
@@ -45,24 +55,14 @@ def _write_file(path, *chunks) -> None:
         raise IoFailure(path, str(exc)) from exc
 
 
-def _read_matrix(path, magic: bytes) -> np.ndarray:
-    blob = _read_file(path)
-    if len(blob) < _HEADER.size:
-        if len(blob) < 4 or blob[:4] != magic:
-            raise BadMagic(path, f"expected magic {magic!r}", offset=0)
-        raise TruncatedFile(path, "incomplete header", offset=len(blob))
-    got_magic, rows, cols = _HEADER.unpack_from(blob)
-    if got_magic != magic:
-        raise BadMagic(path, f"expected magic {magic!r}, found {got_magic!r}", offset=0)
-    if rows == 0 or cols == 0:
-        raise SizeMismatch(path, f"header declares {rows}x{cols}", offset=4)
+def _check_payload(path, payload: int, rows: int, cols: int) -> None:
+    """Refuse a payload of ``payload`` bytes that is not the ``rows x cols`` header's."""
     expected = rows * cols * 4
-    payload = len(blob) - _HEADER.size
     if payload < expected:
         raise TruncatedFile(
             path,
             f"payload has {payload} bytes, header {rows}x{cols} needs {expected}",
-            offset=len(blob),
+            offset=_HEADER.size + payload,
         )
     if payload > expected:
         raise SizeMismatch(
@@ -70,16 +70,49 @@ def _read_matrix(path, magic: bytes) -> np.ndarray:
             f"payload has {payload} bytes, header {rows}x{cols} allows {expected}",
             offset=_HEADER.size + expected,
         )
-    values = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=_HEADER.size)
-    return values.reshape(rows, cols).astype(np.float64)
+
+
+def _read_header(fh, path, magic: bytes) -> tuple[int, int]:
+    """Rows and columns from the header of the EMB1/SIM1 file open as ``fh``,
+    once the header and, for a regular file, the payload size are validated;
+    ``fh`` is left at the payload."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        if len(head) < 4 or head[:4] != magic:
+            raise BadMagic(path, f"expected magic {magic!r}", offset=0)
+        raise TruncatedFile(path, "incomplete header", offset=len(head))
+    got_magic, rows, cols = _HEADER.unpack(head)
+    if got_magic != magic:
+        raise BadMagic(path, f"expected magic {magic!r}, found {got_magic!r}", offset=0)
+    if rows == 0 or cols == 0:
+        raise SizeMismatch(path, f"header declares {rows}x{cols}", offset=4)
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        _check_payload(path, info.st_size - _HEADER.size, rows, cols)
+    return rows, cols
+
+
+def _read_matrix(path, magic: bytes) -> np.ndarray:
+    """The float32 payload of an EMB1/SIM1 file, read into a fresh array."""
+
+    def read(fh):
+        rows, cols = _read_header(fh, path, magic)
+        values = np.empty((rows, cols), dtype="<f4")
+        buf = memoryview(values).cast("B")
+        got = 0
+        while got < buf.nbytes and (step := fh.readinto(buf[got:])):
+            got += step
+        _check_payload(path, got + len(fh.read()), rows, cols)
+        return values
+
+    return _read_file(path, read)
 
 
 def _write_matrix(path, magic: bytes, values: np.ndarray) -> None:
     rows, cols = values.shape
     with np.errstate(over="ignore"):
         data = np.ascontiguousarray(values, dtype="<f4")
-    # min and max are NaN or infinite iff some value is, with no mask buffer
-    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+    if not _all_finite(data):
         bad = data.size - np.count_nonzero(np.isfinite(data))
         raise NonFiniteInput(f"{path}: {bad} of {data.size} values are not finite in float32; nothing written")
     _write_file(path, _HEADER.pack(magic, rows, cols), memoryview(data).cast("B"))
@@ -108,7 +141,14 @@ def norm_deviation(emb: EmbeddingSet) -> float:
 
 
 def read_similarity(path) -> SimilarityMatrix:
+    """Load a SIM1 file; its values stay float32 (see :mod:`hubkit.core`)."""
     return SimilarityMatrix(_read_matrix(path, b"SIM1"), _adopt=True)
+
+
+def similarity_shape(path) -> tuple[int, int]:
+    """Rows and columns of a SIM1 file, validated as :func:`read_similarity`
+    validates the file, without reading its values."""
+    return _read_file(path, lambda fh: _read_header(fh, path, b"SIM1"))
 
 
 def write_similarity(S: SimilarityMatrix, path) -> None:

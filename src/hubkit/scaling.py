@@ -75,10 +75,10 @@ class DISConfig:
 
 def _shifted_exp(V: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """``(exp(V/tau - top), top)``, ``top`` the column maxima of V/tau, in
-    one fresh buffer; no exp argument is positive."""
+    one fresh float64 buffer; no exp argument is positive."""
     if tau <= 0:
         raise NonPositiveTau(tau)
-    out = V / tau
+    out = np.divide(V, tau, dtype=np.float64)
     top = out.max(axis=0)
     out -= top
     np.exp(out, out=out)
@@ -152,7 +152,7 @@ def dynamic_inverted_softmax(
     # exp((S + h)/tau) = exp(S/tau) / colsum(exp(S_bank/tau)).  The query
     # scores are not part of the bank denominator, so the ratio may exceed 1;
     # at the supported temperatures the exponent stays well inside float64.
-    out = S.values.copy()
+    out = S.values.astype(np.float64)
     out[:, mask] = np.exp((S.values[:, mask] + h[mask]) / tau)
     return S._adopt_values(out)
 

@@ -173,8 +173,9 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     tau = cfg.tau
     m, n = blocks[0].shape[0], sum(B.shape[1] for B in blocks)
     log_a, log_b = None if a is None else np.log(a), np.log(b)
-    F = np.zeros(m) if a is None else -np.maximum.reduce([B.max(axis=1) for B in blocks])
-    G = -np.concatenate([B.max(axis=0) for B in blocks]) if a is None else np.zeros(n)
+    # float64 whatever the blocks' dtype: the anchors take the values of f, g
+    F = np.zeros(m) if a is None else -np.maximum.reduce([B.max(axis=1) for B in blocks]).astype(np.float64)
+    G = -np.concatenate([B.max(axis=0) for B in blocks], dtype=np.float64) if a is None else np.zeros(n)
     K = np.empty((m, n))
 
     def absorb(f, g):

@@ -61,7 +61,7 @@ class SynthConfig:
             raise DataError(f"hub_strength must lie in [0,1], got {self.hub_strength}")
 
 
-def _rng(cfg: SynthConfig, stream: int) -> np.random.Generator:
+def _rng(cfg: SynthConfig, stream: int) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
 
 
@@ -76,7 +76,7 @@ def _gap_direction(cfg: SynthConfig) -> np.ndarray:
 
 def _paired_cloud(
     cfg: SynthConfig,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     gap_dir: np.ndarray,
     gap_vec: np.ndarray,
     shift_vec: np.ndarray,

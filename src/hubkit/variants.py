@@ -56,7 +56,7 @@ def otn(S: SimilarityMatrix, marg: Marginals) -> TransportPlan:
         from scipy.optimize import linprog
 
         sums = sparse.vstack([sparse.kron(sparse.eye(m), np.ones(n)), sparse.kron(np.ones(m), sparse.eye(n))])
-        cost = -V.ravel() / (np.abs(V).max() or 1.0)
+        cost = np.divide(-V.ravel(), float(np.abs(V).max()) or 1.0, dtype=np.float64)
         tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
         res = linprog(cost, A_eq=sums.tocsr(), b_eq=np.concatenate([a, b]), method="highs", options=tight)
         if res.status != 0:
@@ -92,7 +92,7 @@ def l2n(
         raise DataError(f"coeff must be > 0, got {coeff}")
     _check_shapes(S, marg)
     a, b = marg.a, marg.b
-    z = coeff * S.values
+    z = np.multiply(coeff, S.values, dtype=np.float64)
     m, n = z.shape
 
     def shifted(w):
@@ -149,7 +149,7 @@ def hn_normalize(S: SimilarityMatrix, literal: bool = False) -> SimilarityMatrix
     plan = hn(S)
     if literal:
         return S.with_values(plan.pi)
-    span = float(S.values.max() - S.values.min())
+    span = float(S.values.max()) - float(S.values.min())
     return S._adopt_values(S.values + (span + 1.0) * plan.pi)
 
 
@@ -157,7 +157,8 @@ def _sparsity(pi: np.ndarray, eps_rel: float) -> float:
     """Fraction of the entries of ``pi`` below ``eps_rel`` times the largest."""
     if pi.size == 0:
         raise EmptyPlan("plan has no entries")
-    return float(np.mean(pi < eps_rel * pi.max()))
+    # a float64 threshold: a float32 ``pi`` is compared in float64
+    return float(np.mean(pi < np.float64(eps_rel) * pi.max()))
 
 
 def sparsity(plan: TransportPlan, eps_rel: float = 1e-9) -> float:

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from hubkit import (
     write_ground_truth,
     write_similarity,
 )
+from hubkit import cli
 from hubkit.cli import main
 
 
@@ -455,7 +457,7 @@ class TestExitCodes:
         ["--method", "dbsn", "--bank-targets-sim", "qt", "--bank-bank-sim", "qb"],
     ], ids=["is", "sn", "dbsn"])
     def test_malformed_input_after_valid_banks_is_data_error(self, tmp_path, capsys, method):
-        # the banks are read and fitted first; the input's error still ends the run
+        # the input's header is checked before the banks are read or fitted
         rng = np.random.default_rng(35)
         write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 6))), tmp_path / "qt.sim")
         write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 3))), tmp_path / "qb.sim")
@@ -468,16 +470,21 @@ class TestExitCodes:
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dbsn_column_mismatch_is_data_error(self, tmp_path, capsys):
+    def test_dbsn_column_mismatch_is_data_error(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(36)
         write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (5, 6))), tmp_path / "s.sim")
         write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 7))), tmp_path / "qt.sim")
         write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 3))), tmp_path / "qb.sim")
+        fits = []
+        monkeypatch.setattr(cli.sinkhorn, "dbsn_hubness", lambda *args: fits.append(args))
         out = tmp_path / "o.sim"
         assert main(["normalize", "--input", str(tmp_path / "s.sim"), "--method", "dbsn",
                      "--bank-targets-sim", str(tmp_path / "qt.sim"), "--bank-bank-sim", str(tmp_path / "qb.sim"),
                      "--out", str(out)]) == 2
-        assert {"6", "7"} <= set(re.findall(r"\d+", capsys.readouterr().err))
+        err = capsys.readouterr().err
+        assert {"6", "7"} <= set(re.findall(r"\d+", err))
+        assert str(tmp_path / "s.sim") in err and str(tmp_path / "qt.sim") in err
+        assert fits == []  # refused from the headers, before the fit
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--iters", "--tau", "--tau1", "--tau2"])
@@ -618,6 +625,30 @@ class TestExitCodes:
         assert "synth" in capsys.readouterr().out
 
 
+class TestMemory:
+    def test_dbsn_holds_its_banks_at_file_precision(self, tmp_path):
+        """The fit's peak is its float64 kernel over [targets | target bank]
+        plus the two banks as float32; float64 copies of the banks would add
+        the banks' size twice over."""
+        rng = np.random.default_rng(38)
+        m = n = nb = 400
+        for name, shape in (("s", (m, n)), ("qt", (m, n)), ("qb", (m, nb))):
+            write_similarity(SimilarityMatrix(rng.uniform(-1, 1, shape)), tmp_path / f"{name}.sim")
+        argv = ["normalize", "--input", str(tmp_path / "s.sim"), "--method", "dbsn",
+                "--bank-targets-sim", str(tmp_path / "qt.sim"), "--bank-bank-sim", str(tmp_path / "qb.sim"),
+                "--out", str(tmp_path / "o.sim")]
+        assert main(argv) == 0  # first-call allocations (parser caches) out of the way
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel = m * (n + nb) * 8
+        banks = m * (n + nb) * 4
+        assert peak < 1.1 * (kernel + banks)
+
+
 _SRC = str(Path(hk.__file__).resolve().parents[1])
 _POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -661,6 +692,34 @@ print(json.dumps(seen))
     def test_thread_cap_is_set_before_numpy_loads(self, tmp_path, env_vars, expected):
         seen = json.loads(_run_python(self._PROBE, tmp_path, **env_vars))
         assert (seen["OPENBLAS_NUM_THREADS"], seen["OMP_NUM_THREADS"]) == expected
+
+    def test_file_subcommands_never_load_numpy_random(self, tmp_path):
+        """Only synth, emd and banksweep draw random numbers; loading
+        numpy.random also loads hashlib and OpenSSL."""
+        cfg = hk.SynthConfig(n_pairs=30, dim=8)
+        Q, T, gt = hk.generate_paired(cfg)
+        for name, emb in zip(("q", "t", "bq", "bt"), (Q, T, *hk.generate_banks(cfg))):
+            hk.write_embeddings(emb, tmp_path / f"{name}.emb")
+        write_ground_truth(gt, tmp_path / "gt.txt")
+        code = """
+import sys
+from hubkit.cli import main
+steps = [
+    ["sim", "--queries", "q.emb", "--targets", "t.emb", "--out", "raw.sim"],
+    ["sim", "--queries", "bq.emb", "--targets", "t.emb", "--out", "bq_t.sim"],
+    ["sim", "--queries", "bq.emb", "--targets", "bt.emb", "--out", "bq_bt.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "is", "--bank-targets-sim", "bq_t.sim", "--out", "is.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "sn", "--out", "sn.sim"],
+    ["normalize", "--input", "raw.sim", "--method", "dbsn", "--bank-targets-sim", "bq_t.sim",
+     "--bank-bank-sim", "bq_bt.sim", "--out", "dbsn.sim"],
+    ["evaluate", "--sim", "dbsn.sim", "--gt", "gt.txt", "--skew-k", "3", "--out", "r.json"],
+    ["diagnose", "--sim", "sn.sim", "--k", "3", "--out", "d.tsv"],
+]
+for argv in steps:
+    print(argv[0], main(argv), "numpy.random" in sys.modules)
+"""
+        lines = _run_python(code, tmp_path).splitlines()
+        assert lines == [f"{cmd} 0 False" for cmd in ["sim"] * 3 + ["normalize"] * 3 + ["evaluate", "diagnose"]]
 
     def test_numpy_only_subcommands_never_load_scipy(self, tmp_path):
         code = """

@@ -5,6 +5,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hubkit import (
     DataError,
@@ -98,6 +101,17 @@ class TestSkewness:
         counts = rng.integers(0, 40, size=50)
         occ = KOccurrence(k=3, counts=counts)
         assert abs(skewness(occ) - scipy.stats.skew(counts, bias=True)) <= 1e-12
+
+    @given(hnp.arrays(np.int64, st.integers(2, 400), elements=st.integers(0, 2**20))
+           | hnp.arrays(np.int64, st.integers(2, 400), elements=st.integers(0, 6)))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_the_per_count_formula(self, counts):
+        """Cubing each distinct count once changes no bit of the moment."""
+        x = counts.astype(np.float64)
+        centered = x - x.mean()
+        m2 = np.mean(centered**2)
+        assume(m2 != 0.0)
+        assert skewness(KOccurrence(k=1, counts=counts)) == float(np.mean(centered**3) / m2**1.5)
 
     def test_hub_prone_matrix_is_right_skewed(self):
         Q, T, _ = generate_paired(SynthConfig(dim=32, n_pairs=300, seed=0))

@@ -27,6 +27,7 @@ from hubkit import (
     write_report,
     write_similarity,
 )
+from hubkit.io import similarity_shape
 
 _HEADER = struct.Struct("<4sII")
 
@@ -112,6 +113,22 @@ class TestFormatValidation:
         with pytest.raises(SizeMismatch):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("read", [read_similarity, similarity_shape])
+    def test_huge_header_is_refused_from_the_file_size(self, tmp_path, read):
+        # the payload is never allocated: (2**32 - 1)**2 values would not fit
+        path = tmp_path / "h.sim"
+        path.write_bytes(_HEADER.pack(b"SIM1", 2**32 - 1, 2**32 - 1) + b"\x00" * 8)
+        with pytest.raises(TruncatedFile):
+            read(path)
+
+    def test_shape_is_read_from_the_header(self, tmp_path):
+        path = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.ones((3, 5))), path)
+        assert similarity_shape(path) == (3, 5)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(SizeMismatch):
+            similarity_shape(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             read_embeddings(tmp_path / "nope.emb")
@@ -161,6 +178,7 @@ class TestSimilarityFiles:
         write_similarity(SimilarityMatrix(values), path)
         back = read_similarity(path)
         np.testing.assert_array_equal(back.values, values)
+        assert back.values.dtype == np.float32  # kept at file precision
 
     def test_evaluate_survives_round_trip(self, tmp_path):
         """Metrics of a quantized matrix are unchanged by write + read."""
