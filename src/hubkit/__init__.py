@@ -16,13 +16,22 @@ scipy is imported by the few functions that call it, not by the package.
 """
 
 
-def _apply_thread_cap() -> None:
+def _thread_cap() -> int:
+    """``HUBKIT_THREADS`` as a positive integer, or 0 when it is unset or
+    anything else.  Needs no numpy, so the cap can be applied before numpy
+    loads; ``core`` reads it on every ranking call."""
     import os
 
     try:
-        cap = int(os.environ.get("HUBKIT_THREADS", "0"))
+        return max(int(os.environ.get("HUBKIT_THREADS", "0")), 0)
     except ValueError:
-        cap = 0
+        return 0
+
+
+def _apply_thread_cap() -> None:
+    import os
+
+    cap = _thread_cap()
     if cap > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ.setdefault(var, str(cap))

@@ -18,10 +18,10 @@ Every subcommand is deterministic given its flags and seed.
 
 The environment variable HUBKIT_THREADS caps the thread pools of the
 numeric backends and the number of threads that sort and rank row blocks
-(0 or unset = automatic: one ranking thread per available CPU).  Importing
-the hubkit package applies the BLAS cap, before numpy loads, so it holds
-for the library as well as here.  All solver loops are single-threaded
-either way.
+on the process's one ranking pool (0 or unset = automatic: one ranking
+thread per available CPU).  Importing the hubkit package applies the BLAS
+cap, before numpy loads, so it holds for the library as well as here.  All
+solver loops are single-threaded either way.
 
 Only emd, banksweep, and normalize with --method otn, l2n, or hn import
 scipy; every other subcommand runs on numpy alone, which keeps process
@@ -109,6 +109,10 @@ def _l2n_plan(S, tau, args):
 
 
 _BANK = ("bank_targets_sim",)
+
+#: The bank flags whose files have a column per target (--bank-bank-sim's
+#: columns are the target bank).
+_TARGET_BANKS = ("bank_targets_sim", "tbank_targets_sim")
 
 #: normalize's methods in --method order: name -> (default --tau, forms).
 #: A form is (bank flags, fits, call).  ``call`` gets the bank matrices the
@@ -208,14 +212,15 @@ def _cmd_normalize(args) -> int:
     flags = ("bank_targets_sim", "bank_bank_sim", "tbank_targets_sim")
     tau, banks, fits, call = _method(args.method, {flag for flag in flags if getattr(args, flag) is not None})
     tau = tau if args.tau is None else args.tau
-    read_banks = (io.read_similarity(getattr(args, flag)) for flag in banks)
-    if fits:
-        # h covers the bank-targets file's columns: refuse an --input of
-        # another width from the two headers, before the fit runs
-        bank = getattr(args, banks[0])
-        cols, bank_cols = io.similarity_shape(args.input)[1], io.similarity_shape(bank)[1]
+    # a bank file over the targets must have --input's columns: refuse
+    # another width from the headers, before any matrix is read
+    cols = io.similarity_shape(args.input)[1] if banks else None
+    for bank in (getattr(args, flag) for flag in banks if flag in _TARGET_BANKS):
+        bank_cols = io.similarity_shape(bank)[1]
         if cols != bank_cols:
             raise errors.ColMismatch(f"{args.input} has {cols} target columns but {bank} has {bank_cols}")
+    read_banks = (io.read_similarity(getattr(args, flag)) for flag in banks)
+    if fits:
         # the bank matrices are dropped once h is fitted, before S is read
         h = call(*read_banks, tau, args)
         out = scaling.apply_hubness(io.read_similarity(args.input), h)

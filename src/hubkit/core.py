@@ -11,13 +11,16 @@ inputs.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
+# The package defines the HUBKIT_THREADS parser before it imports numpy.
+from . import _thread_cap
 from .errors import DimMismatch, KOutOfRange, NonFiniteInput, ShapeMismatch, ZeroVectorRow
 
 
@@ -42,6 +45,12 @@ def _freeze(arr: np.ndarray, dtype=np.float64, adopt: bool = False) -> np.ndarra
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _converted(arr: np.ndarray, source) -> bool:
+    """``arr`` is a new array numpy made from the ndarray ``source`` (a dtype
+    conversion), so no one else holds it and :func:`_freeze` may adopt it."""
+    return isinstance(source, np.ndarray) and arr is not source and arr.base is None
 
 
 #: Values per slice of :func:`_all_finite`; its mask takes one byte a value.
@@ -74,7 +83,7 @@ class EmbeddingSet:
             raise NonFiniteInput(f"embedding data must be a nonempty 2-D matrix, got shape {data.shape}")
         if not _all_finite(data):
             raise NonFiniteInput("embedding data contains NaN or Inf")
-        object.__setattr__(self, "data", _freeze(data, adopt=_adopt))
+        object.__setattr__(self, "data", _freeze(data, adopt=_adopt or _converted(data, self.data)))
 
     @property
     def count(self) -> int:
@@ -109,7 +118,8 @@ class SimilarityMatrix:
             raise NonFiniteInput(f"similarity values must be a nonempty 2-D matrix, got shape {values.shape}")
         if not _all_finite(values):
             raise NonFiniteInput("similarity values contain NaN or Inf")
-        object.__setattr__(self, "values", _freeze(values, dtype=dtype, adopt=_adopt))
+        adopt = _adopt or _converted(values, self.values)
+        object.__setattr__(self, "values", _freeze(values, dtype=dtype, adopt=adopt))
 
     @property
     def rows(self) -> int:
@@ -129,14 +139,20 @@ class SimilarityMatrix:
         return SimilarityMatrix(values, self.row_role, self.col_role, _adopt=True)
 
 
+#: Largest column index an int32 rank order holds.
+_MAX_TARGETS = np.iinfo(np.int32).max
+
+
 @dataclass(frozen=True)
 class RankMatrix:
     """Per-row permutations of column indices, best score first.
 
     Ties are broken by ascending column index, so the order is deterministic
-    for any input.  ``targets`` is the number of columns ranked over (by
-    default the row length); a top-k ranking holds only the first k of them.
-    ``_adopt`` is as for :class:`SimilarityMatrix`.
+    for any input.  ``order`` is int32: more than 2^31 - 1 targets, or an
+    order whose values do not fit int32, is refused with ShapeMismatch
+    rather than wrapped.  ``targets`` is the number of columns ranked over
+    (by default the row length); a top-k ranking holds only the first k of
+    them.  ``_adopt`` is as for :class:`SimilarityMatrix`.
     """
 
     order: np.ndarray = field()
@@ -144,13 +160,19 @@ class RankMatrix:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        order = np.asarray(self.order, dtype=np.int64)
+        order = np.asarray(self.order)
         if order.ndim != 2:
             raise NonFiniteInput(f"rank order must be 2-D, got shape {order.shape}")
         targets = order.shape[1] if self.targets is None else int(self.targets)
         if targets < order.shape[1]:
             raise ShapeMismatch(f"rank rows of {order.shape[1]} columns over {targets} targets")
-        object.__setattr__(self, "order", _freeze(order, dtype=np.int64, adopt=_adopt))
+        if targets > _MAX_TARGETS:
+            raise ShapeMismatch(f"{targets} targets is more than an int32 rank order holds")
+        if order.dtype != np.int32 and order.size:
+            lo, hi = order.min(), order.max()
+            if lo < -_MAX_TARGETS - 1 or hi > _MAX_TARGETS:
+                raise ShapeMismatch(f"rank order values {lo}..{hi} do not fit int32")
+        object.__setattr__(self, "order", _freeze(order, dtype=np.int32, adopt=_adopt))
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -171,7 +193,7 @@ def l2_normalize(raw: np.ndarray) -> EmbeddingSet:
     data = np.asarray(raw, dtype=np.float64)
     if data.ndim != 2:
         raise NonFiniteInput(f"expected a 2-D matrix, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
+    if not _all_finite(data):
         raise NonFiniteInput("input contains NaN or Inf")
     norms = np.linalg.norm(data, axis=1)
     zero = np.flatnonzero(norms == 0.0)
@@ -187,52 +209,106 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
     return SimilarityMatrix(Q.data @ T.data.T, row_role=Q.role, col_role=T.role, _adopt=True)
 
 
-#: Target size of one row block of the ranking functions, in float64 values.
-_SORT_BLOCK_VALUES = 1 << 17
-
-#: The magnitude bits of an IEEE 754 double seen as an int64.
-_MAGNITUDE = np.int64(np.iinfo(np.int64).max)
+#: Target size of one row block of the ranking functions, in values; also
+#: the size of each thread's key scratch (512 KiB, which stays in L2).
+_SORT_BLOCK_VALUES = 1 << 16
 
 
 def _ranking_threads() -> int:
-    """Threads the row-block ranking uses: ``HUBKIT_THREADS`` if positive,
-    capped at the CPUs this process may run on (all of them when unset)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        cap = int(os.environ.get("HUBKIT_THREADS", "0"))
-    except ValueError:
-        cap = 0
+    """Block groups the ranking runs at once: ``HUBKIT_THREADS`` if
+    positive, capped at the CPUs this process may run on (all of them when
+    unset)."""
+    cap, cpus = _thread_cap(), _cpus()
     return min(cap, cpus) if cap > 0 else cpus
 
 
-def _argsort_block(V: np.ndarray, out: np.ndarray) -> None:
-    """Stable descending argsort of the rows of V into ``out``, by packed keys.
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-    Each score becomes an int64 key, built in ``out``, that rises as the
-    score falls: the bits of ``-V`` (``-0.0`` canonicalized to ``+0.0``)
-    with the sign-magnitude flip, their low ``b = (n - 1).bit_length()``
-    bits replaced by the column index.  numpy's vectorized int64 sort orders
-    the keys, and masking off the high bits leaves the columns.  Keys that
-    share their high bits (equal scores, or scores that differ only in the
-    dropped bits) may be out of order, so rows with two such adjacent keys
-    are sorted again with the stable float sort.  The sign mask and that
-    check share one scratch array of V's shape.
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _ranking_pool() -> ThreadPoolExecutor:
+    """The process's one ranking pool, started on first use with a thread
+    per CPU the process may run on."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cpus(), thread_name_prefix="hubkit-rank")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist here."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(work, starts, groups: int) -> None:
+    """Call ``work(lo)`` for every ``lo`` in ``starts``, as up to ``groups``
+    groups that run at once: this thread runs the first, the ranking pool
+    the others.  Returns once every group is done; a failure is raised."""
+    groups = min(groups, len(starts))
+
+    def run(g):
+        for lo in starts[g::groups]:
+            work(lo)
+
+    futures = [_ranking_pool().submit(run, g) for g in range(1, groups)]
+    try:
+        run(0)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+_scratch = threading.local()
+
+
+def _key_scratch(size: int) -> np.ndarray:
+    """``size`` values of this thread's 64-bit key buffer, which is kept for
+    the thread's later blocks and calls and grown only for a row longer than
+    one block."""
+    keys = getattr(_scratch, "keys", None)
+    if keys is None or keys.size < size:
+        keys = _scratch.keys = np.empty(max(size, _SORT_BLOCK_VALUES), dtype=np.int64)
+    return keys[:size]
+
+
+def _argsort_block(V: np.ndarray, out: np.ndarray) -> None:
+    """Stable descending argsort of the rows of V into the int32 ``out``,
+    by packed keys.
+
+    Each score becomes a float64 key: ``-V`` (``-0.0`` canonicalized to
+    ``+0.0``) with the low ``b = (n - 1).bit_length()`` bits of its pattern
+    replaced by the column index.  The keys are built in this thread's
+    scratch (see :func:`_key_scratch`), not in the result.  numpy's
+    vectorized float sort orders them, and the low bits of the sorted keys
+    are the columns, written straight into ``out``.  Keys that share their
+    high bits (equal scores, or scores that differ only in the dropped bits)
+    may be out of order, the more so as a negative key's column bits count
+    downwards, so rows with two such adjacent keys are sorted again with the
+    stable float sort.
     """
     n = V.shape[1]
     b = (n - 1).bit_length()
     low = (1 << b) - 1
-    np.subtract(0.0, V, out=out.view(np.float64))
-    scratch = np.right_shift(out, 63)
-    scratch &= _MAGNITUDE
-    out ^= scratch
-    out &= ~low
-    out |= np.arange(n)
-    out.sort(axis=1)
-    same = scratch[:, 1:]
-    np.bitwise_xor(out[:, 1:], out[:, :-1], out=same)
-    same >>= b
-    tied = np.flatnonzero(~same.all(axis=1))
-    out &= low
+    keys = _key_scratch(V.size).reshape(V.shape)
+    np.subtract(0.0, V, out=keys.view(np.float64))
+    keys &= ~low
+    keys |= np.arange(n)
+    keys.view(np.float64).sort(axis=1)
+    np.bitwise_and(keys, low, out=out, casting="unsafe")
+    keys >>= b
+    tied = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
     if tied.size:
         out[tied] = np.argsort(np.negative(V[tied]), axis=1, kind="stable")
 
@@ -260,33 +336,28 @@ def _by_row_blocks(V: np.ndarray, out: np.ndarray, fill) -> None:
     """Call ``fill(V[rows], out[rows])`` for row blocks of V.
 
     A matrix of more than one block's worth of values is spread over up to
-    :func:`_ranking_threads` threads, with at least one block each (numpy's
-    sorts release the GIL).
+    :func:`_ranking_threads` block groups, with at least one block each, on
+    the ranking pool (numpy's sorts release the GIL).
     """
     m, n = V.shape
-    # no more threads than blocks' worth of values: starting a thread costs
-    # more than sorting a small matrix
-    threads = min(_ranking_threads(), m, -(-m * n // _SORT_BLOCK_VALUES))
-    rows = max(1, min(_SORT_BLOCK_VALUES // n, -(-m // threads)))
-    blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
-    if threads == 1:
-        for b in blocks:
-            fill(V[b], out[b])
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(lambda b: fill(V[b], out[b]), blocks))
+    # no more groups than blocks' worth of values: handing a small matrix to
+    # another thread costs more than sorting it
+    groups = min(_ranking_threads(), m, -(-m * n // _SORT_BLOCK_VALUES))
+    rows = max(1, min(_SORT_BLOCK_VALUES // n, -(-m // groups)))
+    _run_blocks(lambda lo: fill(V[lo:lo + rows], out[lo:lo + rows]), range(0, m, rows), groups)
 
 
 def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
-    """Sort each row's column indices by descending score.
+    """Sort each row's column indices by descending score, into an int32
+    RankMatrix.
 
     The result equals a stable sort of the negated scores, so equal scores
     (``0.0`` and ``-0.0`` included) stay in ascending column-index order.
-    Rows are sorted in blocks, on up to ``HUBKIT_THREADS`` threads for
-    matrices larger than one block, as int64 keys packing score and column
-    that are built in the result itself (see :func:`_argsort_block`).
+    Rows are sorted in blocks, on up to ``HUBKIT_THREADS`` threads of the
+    ranking pool for matrices larger than one block, as float64 keys packing
+    score and column (see :func:`_argsort_block`).
     """
-    order = np.empty(S.values.shape, dtype=np.int64)
+    order = np.empty(S.values.shape, dtype=np.int32)
     _by_row_blocks(S.values, order, _argsort_block)
     return RankMatrix(order, _adopt=True)
 
@@ -299,6 +370,6 @@ def row_topk_desc(S: SimilarityMatrix, k: int) -> RankMatrix:
     """
     if not 1 <= k <= S.cols:
         raise KOutOfRange(k, S.cols)
-    order = np.empty((S.rows, k), dtype=np.int64)
+    order = np.empty((S.rows, k), dtype=np.int32)
     _by_row_blocks(S.values, order, partial(_topk_block, k=k))
     return RankMatrix(order, targets=S.cols, _adopt=True)

@@ -10,10 +10,11 @@ from itertools import chain
 
 import numpy as np
 
+from . import core
 from .core import RankMatrix, SimilarityMatrix
 from .errors import DataError, IndexOutOfRange, ShapeMismatch
 
-#: Largest target index a ground truth can hold: rankings index in int64.
+#: Largest target index a ground truth can hold: its pairs are indexed in int64.
 _MAX_INDEX = np.iinfo(np.int64).max
 
 
@@ -108,8 +109,8 @@ def best_rank(ranks: RankMatrix, gt: GroundTruth) -> np.ndarray:
         )
     pair_rows, cols, starts = _truth_pairs(gt, ranks.rows, ranks.cols)
     positions = np.empty_like(order)
-    np.put_along_axis(positions, order, np.arange(ranks.cols)[None, :], axis=1)
-    return np.minimum.reduceat(positions[pair_rows, cols], starts[:-1]) + 1
+    np.put_along_axis(positions, order, np.arange(ranks.cols, dtype=order.dtype)[None, :], axis=1)
+    return np.minimum.reduceat(positions[pair_rows, cols], starts[:-1]).astype(np.int64) + 1
 
 
 #: Target size of one row block of :func:`_count_best_ranks`, in float64 values.
@@ -128,7 +129,8 @@ def _count_best_ranks(V: np.ndarray, gt: GroundTruth) -> np.ndarray:
     pair_rows, cols, starts = _truth_pairs(gt, m, n)
     ranks = np.empty(cols.size, dtype=np.int64)
     step = max(1, _COUNT_BLOCK_VALUES // n)
-    for lo in range(0, m, step):
+
+    def count(lo):
         hi = min(lo + step, m)
         plo, phi = starts[lo], starts[hi]
         r, c = pair_rows[plo:phi], cols[plo:phi]
@@ -140,6 +142,9 @@ def _count_best_ranks(V: np.ndarray, gt: GroundTruth) -> np.ndarray:
         if tied.size:
             above[tied] += np.count_nonzero(equal[tied] & (np.arange(n) < c[tied, None]), axis=1)
         ranks[plo:phi] = above + 1
+
+    # the blocks write disjoint slices of ranks, on the ranking pool
+    core._run_blocks(count, range(0, m, step), core._ranking_threads())
     return np.minimum.reduceat(ranks, starts[:-1])
 
 

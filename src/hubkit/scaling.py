@@ -152,8 +152,10 @@ def dynamic_inverted_softmax(
     # exp((S + h)/tau) = exp(S/tau) / colsum(exp(S_bank/tau)).  The query
     # scores are not part of the bank denominator, so the ratio may exceed 1;
     # at the supported temperatures the exponent stays well inside float64.
+    # An overflow to inf is left to SimilarityMatrix, which refuses it.
     out = S.values.astype(np.float64)
-    out[:, mask] = np.exp((S.values[:, mask] + h[mask]) / tau)
+    with np.errstate(over="ignore"):
+        out[:, mask] = np.exp((S.values[:, mask] + h[mask]) / tau)
     return S._adopt_values(out)
 
 
@@ -177,7 +179,10 @@ def dual_inverted_softmax(
         raise ColMismatch(f"{S.cols} target columns vs {S_tbank_targets.cols} target-bank columns")
     h_q, h_t = dual_is_compensations(S_qbank_targets, S_tbank_targets, cfg)
     out = (S.values + h_q.values + h_t.values) / cfg.lam
-    return S._adopt_values(np.exp(out, out=out))
+    # an overflow to inf is left to SimilarityMatrix, which refuses it
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    return S._adopt_values(out)
 
 
 def dual_is_compensations(

@@ -487,6 +487,50 @@ class TestExitCodes:
         assert fits == []  # refused from the headers, before the fit
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", [
+        ["--method", "dis", "--bank-targets-sim", "qt"],
+        ["--method", "dualis", "--bank-targets-sim", "qt6", "--tbank-targets-sim", "qt"],
+    ], ids=["dis", "dualis"])
+    def test_bank_column_mismatch_is_refused_from_headers(self, tmp_path, capsys, monkeypatch, method):
+        rng = np.random.default_rng(37)
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (5, 6))), tmp_path / "s.sim")
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 6))), tmp_path / "qt6.sim")
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 7))), tmp_path / "qt.sim")
+        reads = []
+        monkeypatch.setattr(cli.io, "read_similarity", lambda path: reads.append(path))
+        out = tmp_path / "o.sim"
+        argv = ["normalize", "--input", str(tmp_path / "s.sim"), "--out", str(out)]
+        argv += [str(tmp_path / f"{flag}.sim") if flag.startswith("qt") else flag for flag in method]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert {"6", "7"} <= set(re.findall(r"\d+", err))
+        assert str(tmp_path / "s.sim") in err and str(tmp_path / "qt.sim") in err
+        assert reads == []  # refused from the headers, before any matrix is read
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", [
+        ["--method", "dis", "--bank-targets-sim", "bq_t"],
+        ["--method", "dualis", "--bank-targets-sim", "bq_t", "--tbank-targets-sim", "bt_t"],
+    ], ids=["dis", "dualis"])
+    def test_exp_overflow_prints_only_the_refusal(self, tmp_path, capsys, method):
+        assert main(_synth_args(tmp_path, seed=3, banks=True)) == 0
+        for rows, name in (("q", "raw"), ("bq", "bq_t"), ("bt", "bt_t")):
+            assert main(["sim", "--queries", str(tmp_path / f"{rows}.emb"),
+                         "--targets", str(tmp_path / "t.emb"), "--out", str(tmp_path / f"{name}.sim")]) == 0
+        raw = read_similarity(tmp_path / "raw.sim")
+        write_similarity(raw.with_values(raw.values * 1e6), tmp_path / "big.sim")
+        out = tmp_path / "o.sim"
+        argv = ["normalize", "--input", str(tmp_path / "big.sim"), "--out", str(out)]
+        argv += [str(tmp_path / f"{flag}.sim") if flag in ("bq_t", "bt_t") else flag for flag in method]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [str(w.message) for w in seen] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("hubkit: error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--iters", "--tau", "--tau1", "--tau2"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_solver_flags_are_usage_errors(self, tmp_path, flag, value):

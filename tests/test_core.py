@@ -1,7 +1,10 @@
 """Embedding sets, cosine similarity, and rank extraction."""
 
 import os
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -204,20 +207,88 @@ class TestRowArgsortMatchesStableSort:
         np.testing.assert_array_equal(order, np.argsort(-V, axis=1, kind="stable"))
 
     def test_threads_only_for_large_matrices(self, monkeypatch):
-        pools = []
+        # spies on dispatch to the ranking pool, which is built once per
+        # process: the blocks' threads and the calls handed to the pool
+        threads, submitted = [], []
+        argsort_block, pool = core._argsort_block, core._ranking_pool
 
-        class SpyPool(core.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+        def spy_block(V, out):
+            threads.append(threading.get_ident())
+            argsort_block(V, out)
 
-        monkeypatch.setattr(core, "ThreadPoolExecutor", SpyPool)
+        class SpyPool:
+            def submit(self, *call):
+                submitted.append(call)
+                return pool().submit(*call)
+
+        monkeypatch.setattr(core, "_argsort_block", spy_block)
+        monkeypatch.setattr(core, "_ranking_pool", SpyPool)
         monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
         rng = np.random.default_rng(9)
         row_argsort_desc(SimilarityMatrix(rng.uniform(-1, 1, (64, 64))))
-        assert pools == []
-        row_argsort_desc(SimilarityMatrix(rng.uniform(-1, 1, (100, 8000))))
-        assert pools == [2]
+        assert submitted == [] and set(threads) == {threading.get_ident()}
+        threads.clear()
+        V = rng.uniform(-1, 1, (100, 8000))
+        order = row_argsort_desc(SimilarityMatrix(V)).order
+        # two groups: this thread runs one, the pool the other
+        assert len(submitted) == 1 and len(set(threads)) == 2 and threading.get_ident() in threads
+        np.testing.assert_array_equal(order, np.argsort(-V, axis=1, kind="stable"))
+
+    def test_one_pool_per_process(self, monkeypatch):
+        built = []
+
+        class SpyPool(core.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(core, "_pool", None)
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
+        V = np.round(np.random.default_rng(12).uniform(-1, 1, (60, 4000)), 2)
+        want = np.argsort(-V, axis=1, kind="stable")
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(row_argsort_desc(SimilarityMatrix(V)).order))
+            for _ in range(4)
+        ]
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in callers)
+            assert len(built) == 1 and len(results) == 4
+            for order in results:
+                np.testing.assert_array_equal(order, want)
+        finally:
+            if core._pool is not None:
+                core._pool.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_ranks_in_a_forked_child(self, monkeypatch):
+        # the child does not inherit the parent's pool threads, so a pool
+        # kept across the fork would never run the blocks handed to it
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
+        V = np.round(np.random.default_rng(13).uniform(-1, 1, (100, 8000)), 3)
+        want = np.argsort(-V, axis=1, kind="stable")
+        S = SimilarityMatrix(V)
+        np.testing.assert_array_equal(row_argsort_desc(S).order, want)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child leaves through _exit
+            code = 1
+            try:
+                code = 0 if np.array_equal(row_argsort_desc(S).order, want) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("ranking in the forked child did not finish within 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
     def test_signed_zeros_keep_column_order(self):
         # the last two rows hold no other equal scores, so only equal keys
@@ -228,7 +299,7 @@ class TestRowArgsortMatchesStableSort:
 
     def test_thread_count_follows_hubkit_threads(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        for value, want in [("1", 1), ("100000", cpus), ("0", cpus), ("junk", cpus)]:
+        for value, want in [("1", 1), ("100000", cpus), ("0", cpus), ("-3", cpus), ("junk", cpus)]:
             monkeypatch.setenv("HUBKIT_THREADS", value)
             assert core._ranking_threads() == want
 
@@ -269,6 +340,24 @@ class TestPackedKeys:
         V[3, 0], V[3, -1] = -0.0, 0.0  # a lone pair of signed zeros
         for threads in ("1", "2"):
             _sorted_as_stable(V, threads, block_values=max(24, 2 * n))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @given(data=st.data(), b=st.integers(0, 11), extra=st.sampled_from([0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_index_width_changes(self, threads, data, b, extra):
+        # n = 2^b needs b index bits, n = 2^b + 1 one more
+        n = (1 << b) + extra
+        m = data.draw(st.integers(1, 6))
+        V = data.draw(hnp.arrays(np.float64, (m, n), elements=TIE_VALUES | st.floats(-1, 1)))
+        _sorted_as_stable(V, threads, block_values=max(24, 3 * n))
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+    def test_rows_longer_than_the_key_scratch(self, n):
+        rng = np.random.default_rng(n)
+        V = np.round(rng.uniform(-1, 1, (3, n)), 3)
+        V[1] = _ulp_steps(np.full(n, -0.5), np.arange(n) % 5)
+        for threads in ("1", "2"):
+            _sorted_as_stable(V, threads, block_values=core._SORT_BLOCK_VALUES)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_float32_origin_scores(self, tmp_path, threads):
@@ -347,6 +436,42 @@ class TestContainers:
         order[0, 0] = 0
         assert S.values[0, 0] == 0.1 and R.order[0, 0] == 1
         assert S.with_values(values).values is not values
+
+    def test_rank_orders_are_int32(self):
+        S = SimilarityMatrix(np.eye(4))
+        assert row_argsort_desc(S).order.dtype == np.int32
+        assert row_topk_desc(S, 2).order.dtype == np.int32
+        assert RankMatrix(np.array([[1, 0]], dtype=np.int64)).order.dtype == np.int32
+
+    def test_rank_orders_beyond_int32_are_refused(self):
+        top = np.iinfo(np.int32).max
+        for order in ([[2**31, 0]], [[-(2**31) - 1, 0]], np.array([[2**31, 0]], dtype=np.uint64)):
+            with pytest.raises(ShapeMismatch):
+                RankMatrix(np.array(order), targets=2**31 + 1)
+            with pytest.raises(ShapeMismatch):
+                RankMatrix(np.array(order), targets=2)
+        with pytest.raises(ShapeMismatch):
+            RankMatrix(np.array([[0, 1]]), targets=top + 1)
+        assert RankMatrix(np.array([[top, 0]]), targets=top).order[0, 0] == top
+
+    def test_conversions_are_not_copied_again(self):
+        """A dtype conversion is adopted: one matrix-sized buffer, no second."""
+        rng = np.random.default_rng(14)
+        wide = 1000 * 1000 * 8
+        for make, raw in (
+            (EmbeddingSet, rng.standard_normal((1000, 1000)).astype(np.float32)),
+            (SimilarityMatrix, rng.integers(-5, 5, (1000, 1000), dtype=np.int32)),
+        ):
+            tracemalloc.start()
+            try:
+                made = make(raw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * wide
+            stored = made.data if make is EmbeddingSet else made.values
+            assert stored.dtype == np.float64 and not stored.flags.writeable
+            np.testing.assert_array_equal(stored, raw)
 
     def test_rank_matrix_records_its_target_count(self):
         assert RankMatrix(np.array([[1, 0, 2]])).targets == 3

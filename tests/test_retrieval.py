@@ -1,12 +1,14 @@
 """Rank-based retrieval metrics against hand cases and a linear-scan oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hubkit import retrieval
+from hubkit import core, retrieval
 from hubkit import (
     DataError,
     GroundTruth,
@@ -246,6 +248,24 @@ class TestEvaluateMatchesSortedRanks:
         report = evaluate(S, gt, [1, 10, 100])
         assert report.r_at == {k: float(100.0 * np.mean(br <= k)) for k in [1, 10, 100]}
         assert report.mnr == float(br.mean())
+
+    def test_count_blocks_on_more_groups_than_cores(self, monkeypatch):
+        # the groups write disjoint slices of one rank vector on the pool
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 8)
+        monkeypatch.setattr(retrieval, "_COUNT_BLOCK_VALUES", 64)
+        rng = np.random.default_rng(57)
+        V = np.round(rng.uniform(-1, 1, (300, 40)), 1)
+        gt = GroundTruth(tuple(frozenset(rng.choice(40, size=rng.integers(1, 4), replace=False).tolist())
+                               for _ in range(300)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counted = retrieval._count_best_ranks(V, gt)
+        finally:
+            sys.setswitchinterval(interval)
+        br = best_rank(row_argsort_desc(SimilarityMatrix(V)), gt)
+        assert br.dtype == np.int64 and counted.dtype == np.int64
+        np.testing.assert_array_equal(counted, br)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
