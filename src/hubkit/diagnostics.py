@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingSet, RankMatrix, SimilarityMatrix, _freeze
+from .core import EmbeddingSet, RankMatrix, _freeze
 from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning
-from .variants import hn
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,10 @@ def _ground_cost(X: np.ndarray, Y: np.ndarray, kind: str) -> np.ndarray:
 def emd(X: EmbeddingSet, Y: EmbeddingSet, cfg: EmdConfig = EmdConfig()) -> float:
     """Average per-point optimal-assignment cost between subsamples of X and Y.
 
-    The assignment is solved exactly on the min-cost orientation by the
-    variants module's Hungarian solver.
+    Each assignment is solved exactly by scipy's ``linear_sum_assignment``.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if X.dim != Y.dim:
         raise DimMismatch(X.dim, Y.dim)
     size = min(cfg.subsample, X.count, Y.count)
@@ -117,6 +117,6 @@ def emd(X: EmbeddingSet, Y: EmbeddingSet, cfg: EmdConfig = EmdConfig()) -> float
         xi = rng.choice(X.count, size=size, replace=False)
         yi = rng.choice(Y.count, size=size, replace=False)
         cost = _ground_cost(X.data[xi], Y.data[yi], cfg.ground_cost)
-        plan = hn(SimilarityMatrix(-cost, row_role=X.role, col_role=Y.role))
-        total += float((plan.pi * cost).sum()) / size
+        rows, cols = linear_sum_assignment(cost)
+        total += float(cost[rows, cols].sum()) / size
     return total / cfg.repeats

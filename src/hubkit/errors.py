@@ -52,11 +52,11 @@ class LengthMismatch(DataError):
 
 
 class NonPositiveTau(DataError):
-    """Temperature must be strictly positive."""
+    """Temperature must be finite and strictly positive."""
 
     def __init__(self, tau: float):
         self.tau = tau
-        super().__init__(f"temperature must be > 0, got {tau}")
+        super().__init__(f"temperature must be finite and > 0, got {tau}")
 
 
 class ZeroMarginalEntry(DataError):

@@ -52,9 +52,9 @@ class DualISConfig:
     tau2: float = 0.02
 
     def __post_init__(self):
-        if self.tau1 <= 0:
+        if not 0.0 < self.tau1 < np.inf:
             raise NonPositiveTau(self.tau1)
-        if self.tau2 <= 0:
+        if not 0.0 < self.tau2 < np.inf:
             raise NonPositiveTau(self.tau2)
 
     @property
@@ -76,7 +76,7 @@ class DISConfig:
 def _shifted_exp(V: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """``(exp(V/tau - top), top)``, ``top`` the column maxima of V/tau, in
     one fresh float64 buffer; no exp argument is positive."""
-    if tau <= 0:
+    if not 0.0 < tau < np.inf:
         raise NonPositiveTau(tau)
     out = np.divide(V, tau, dtype=np.float64)
     top = out.max(axis=0)

@@ -84,11 +84,11 @@ class SinkhornConfig:
     tol: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not 0.0 < self.tau < np.inf:
             raise NonPositiveTau(self.tau)
         if self.max_iters < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise DataError(f"tol must be >= 0, got {self.tol}")
 
 

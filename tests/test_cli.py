@@ -1,6 +1,7 @@
 """End-to-end checks of the command line against the library."""
 
 import filecmp
+import functools
 import json
 import os
 import re
@@ -653,9 +654,10 @@ class TestExitCodes:
         assert "not finite in float32" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unconverged_l2n_plan_is_data_error(self, tmp_path, capsys):
-        # At coeff 1e4 the solver settles on a plan with an empty row and
-        # two empty columns, far off the uniform marginals.
+    def test_unconverged_l2n_plan_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # The real solver held to one Newton step at coeff 1e4 stops far off
+        # the uniform marginals.
+        monkeypatch.setattr(cli.variants, "l2n", functools.partial(cli.variants.l2n, max_sweeps=1))
         sim = tmp_path / "s.sim"
         write_similarity(SimilarityMatrix(np.random.default_rng(34).uniform(-1, 1, (2, 3))), sim)
         out = tmp_path / "l2n.sim"
@@ -663,6 +665,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "did not converge" in err and "marginal violation" in err and "sweeps" in err
         assert not out.exists()
+
+    def test_l2n_at_large_coeff_writes_a_feasible_plan(self, tmp_path):
+        sim = tmp_path / "s.sim"
+        write_similarity(SimilarityMatrix(np.random.default_rng(34).uniform(-1, 1, (2, 3))), sim)
+        out = tmp_path / "l2n.sim"
+        assert main(["normalize", "--input", str(sim), "--method", "l2n", "--coeff", "10000", "--out", str(out)]) == 0
+        pi = read_similarity(out).values
+        assert np.all(pi >= 0.0)
+        np.testing.assert_allclose(pi.sum(axis=1), 1 / 2, atol=1e-7)
+        np.testing.assert_allclose(pi.sum(axis=0), 1 / 3, atol=1e-7)
 
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -151,6 +151,27 @@ class TestEmd:
         )
         assert abs(value - best) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_equal_to_the_assignment_cost_sum(self, seed):
+        """The estimate is the mean of the optimal assignments' summed costs,
+        to the last bit, on subsamples drawn from (seed, repeat) streams."""
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(60 + seed)
+        X, Y = rng.standard_normal((70, 8)), rng.standard_normal((90, 8))
+        for size in (5, 16, 33, 64):
+            total = 0.0
+            for repeat in range(2):
+                draw = np.random.default_rng((seed, repeat))
+                xi = draw.choice(70, size=size, replace=False)
+                yi = draw.choice(90, size=size, replace=False)
+                cost = cdist(X[xi], Y[yi])
+                rows, cols = linear_sum_assignment(cost)
+                total += float(cost[rows, cols].sum()) / size
+            cfg = EmdConfig(subsample=size, repeats=2, seed=seed)
+            assert emd(EmbeddingSet(X), EmbeddingSet(Y, role=Role.TARGET), cfg) == total / 2
+
     def test_deterministic(self):
         rng = np.random.default_rng(52)
         X = EmbeddingSet(rng.standard_normal((100, 6)))

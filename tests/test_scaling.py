@@ -60,6 +60,16 @@ class TestInvertedSoftmax:
         with pytest.raises(NonPositiveTau):
             inverted_softmax(S, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        S = SimilarityMatrix(np.array([[0.1]]))
+        with pytest.raises(NonPositiveTau):
+            inverted_softmax(S, tau=tau)
+        with pytest.raises(NonPositiveTau):
+            DualISConfig(tau1=tau)
+        with pytest.raises(NonPositiveTau):
+            DualISConfig(tau2=tau)
+
     @given(
         hnp.arrays(
             np.float64,

@@ -113,6 +113,16 @@ class TestMarginals:
         with pytest.raises(DataError):
             SinkhornConfig(max_iters=0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_is_refused(self, tau):
+        """A NaN or infinite temperature would give an all-NaN plan marked converged."""
+        with pytest.raises(NonPositiveTau):
+            SinkhornConfig(tau=tau)
+
+    def test_nan_tol_is_refused(self):
+        with pytest.raises(DataError):
+            SinkhornConfig(tol=np.nan)
+
 
 class TestSinkhorn:
     def test_constant_matrix_gives_product_plan(self):

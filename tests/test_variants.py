@@ -159,6 +159,10 @@ class TestOtn:
         assert float((V * plan.pi).sum()) >= product - 1e-9
 
 
+#: Inputs on which an earlier two-phase solver ended unconverged at coeff 1e4.
+_LARGE_COEFF_INPUTS = [((2, 3), 20), ((2, 3), 34), ((4, 5), 58), ((3, 4), 72)]
+
+
 class TestL2n:
     def test_feasible_point_is_its_own_projection(self):
         marg = Marginals.uniform(3, 4)
@@ -234,22 +238,38 @@ class TestL2n:
 
     @pytest.mark.parametrize("shape, seed", [((2, 3), 6), ((3, 5), 3), ((4, 6), 33)])
     def test_converged_despite_quasi_newton_line_search_stall(self, shape, seed):
-        """Instances where L-BFGS-B ends on a line-search failure; the plan is exact anyway."""
+        """Instances where a quasi-Newton line search on the dual fails; the
+        Newton loop's plan is exact."""
         V = np.random.default_rng(seed).uniform(-1, 1, shape)
         plan = l2n(SimilarityMatrix(V), Marginals.uniform(*shape))
         assert plan.converged
         assert plan.marginal_violation <= 1e-12
 
-    @pytest.mark.parametrize("shape, seed", [((2, 3), 20), ((2, 3), 34), ((4, 5), 58), ((3, 4), 72)])
+    @pytest.mark.parametrize("shape, seed", _LARGE_COEFF_INPUTS)
     def test_converged_only_when_feasible(self, shape, seed):
-        """At coeff = 1e4 L-BFGS-B can stop far from the optimum, and the
-        Newton support can settle into row/column blocks of unequal mass,
-        where no step meets the marginals; such a plan must not claim
+        """At coeff = 1e4 the dual is piecewise linear over most of its
+        domain, and a support of row/column blocks of unequal mass meets no
+        marginal; a plan that misses the marginals must not claim
         convergence."""
         V = np.random.default_rng(seed).uniform(-1, 1, shape)
         plan = l2n(SimilarityMatrix(V), Marginals.uniform(*shape), coeff=1e4)
         assert np.all(plan.pi >= 0.0) and np.all(np.isfinite(plan.pi))
         assert not plan.converged or plan.marginal_violation <= 1e-9
+
+    def test_converges_at_every_coeff(self):
+        """Seeded problems of 2-24 rows and columns, and the inputs above, at
+        coeff 1e2, 1e3 and 1e4, where the dual turns piecewise linear."""
+        inputs = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m, n = rng.integers(2, 25, size=2)
+            inputs.append(rng.uniform(-1, 1, (m, n)))
+        inputs += [np.random.default_rng(seed).uniform(-1, 1, shape) for shape, seed in _LARGE_COEFF_INPUTS]
+        for V in inputs:
+            for coeff in (1e2, 1e3, 1e4):
+                plan = l2n(SimilarityMatrix(V), Marginals.uniform(*V.shape), coeff=coeff)
+                assert plan.converged, (V.shape, coeff)
+                assert plan.marginal_violation <= 1e-9, (V.shape, coeff)
 
     def test_exhausted_budget_returns_best_iterate(self):
         rng = np.random.default_rng(39)
@@ -262,6 +282,15 @@ class TestL2n:
         S = SimilarityMatrix(np.zeros((2, 2)) + 0.1)
         with pytest.raises(DataError):
             l2n(S, Marginals.column_only(2))
+
+    @pytest.mark.parametrize("bad", [{"coeff": np.nan}, {"coeff": np.inf}, {"tol": -1.0}, {"tol": np.nan},
+                                     {"max_sweeps": 0}])
+    def test_refuses_bad_solver_parameters(self, bad):
+        """A NaN or infinite coeff would give a NaN plan, a negative or NaN tol
+        a plan that never converges, and max_sweeps = 0 a plan from no step."""
+        S = SimilarityMatrix(np.zeros((2, 2)) + 0.1)
+        with pytest.raises(DataError):
+            l2n(S, Marginals.uniform(2, 2), **bad)
 
 
 class TestHn:
