@@ -17,11 +17,14 @@ above the file's column count depends on the data and is a data error.
 Every subcommand is deterministic given its flags and seed.
 
 The environment variable HUBKIT_THREADS caps the thread pools of the
-numeric backends and the number of threads that sort and rank row blocks
-on the process's one ranking pool (0 or unset = automatic: one ranking
-thread per available CPU).  Importing the hubkit package applies the BLAS
-cap, before numpy loads, so it holds for the library as well as here.  All
-solver loops are single-threaded either way.
+numeric backends and the number of threads that run row blocks on the
+process's one block pool (0 or unset = automatic: one thread per available
+CPU): ranking, evaluation, and the m x n passes of the Sinkhorn fit, its
+plan, SN and the inverted softmax.  Those passes split the matrix in blocks
+set by its shape alone, so every output is the same for any thread count.  Importing the
+hubkit package applies the BLAS cap, before numpy loads, so it holds for the
+library as well as here.  The other solver loops (otn, l2n, hn) do not use
+the pool.
 
 Only emd, banksweep, and normalize with --method otn, l2n, or hn import
 scipy; every other subcommand runs on numpy alone, which keeps process

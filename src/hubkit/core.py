@@ -213,11 +213,17 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
 #: the size of each thread's key scratch (512 KiB, which stays in L2).
 _SORT_BLOCK_VALUES = 1 << 16
 
+#: Least size, in values, of one block of the normalizers' m x n passes (the
+#: Sinkhorn kernel, column sums and plan, SN's ``S + g``, the inverted
+#: softmax's slabs): about a millisecond of their work, which a handoff to
+#: the pool costs a small share of.
+_PASS_BLOCK_VALUES = 1 << 20
+
 
 def _ranking_threads() -> int:
-    """Block groups the ranking runs at once: ``HUBKIT_THREADS`` if
-    positive, capped at the CPUs this process may run on (all of them when
-    unset)."""
+    """Block groups that ranking and the normalizers' m x n passes run at
+    once: ``HUBKIT_THREADS`` if positive, capped at the CPUs this process may
+    run on (all of them when unset)."""
     cap, cpus = _thread_cap(), _cpus()
     return min(cap, cpus) if cap > 0 else cpus
 
@@ -232,8 +238,10 @@ _pool_lock = threading.Lock()
 
 
 def _ranking_pool() -> ThreadPoolExecutor:
-    """The process's one ranking pool, started on first use with a thread
-    per CPU the process may run on."""
+    """The process's one block pool, started on first use with a thread per
+    CPU the process may run on.  Named for its first user: it runs the row
+    blocks of ranking and evaluation, and the blocks and slabs of the
+    Sinkhorn and inverted-softmax passes (see :func:`_run_blocks`)."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -253,8 +261,9 @@ if hasattr(os, "register_at_fork"):
 
 def _run_blocks(work, starts, groups: int) -> None:
     """Call ``work(lo)`` for every ``lo`` in ``starts``, as up to ``groups``
-    groups that run at once: this thread runs the first, the ranking pool
-    the others.  Returns once every group is done; a failure is raised."""
+    groups that run at once: this thread runs the first, the block pool the
+    others, so one group never reaches the pool.  Returns once every group
+    is done; a failure is raised."""
     groups = min(groups, len(starts))
 
     def run(g):
@@ -337,7 +346,7 @@ def _by_row_blocks(V: np.ndarray, out: np.ndarray, fill) -> None:
 
     A matrix of more than one block's worth of values is spread over up to
     :func:`_ranking_threads` block groups, with at least one block each, on
-    the ranking pool (numpy's sorts release the GIL).
+    the block pool (numpy's sorts release the GIL).
     """
     m, n = V.shape
     # no more groups than blocks' worth of values: handing a small matrix to
@@ -354,7 +363,7 @@ def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
     The result equals a stable sort of the negated scores, so equal scores
     (``0.0`` and ``-0.0`` included) stay in ascending column-index order.
     Rows are sorted in blocks, on up to ``HUBKIT_THREADS`` threads of the
-    ranking pool for matrices larger than one block, as float64 keys packing
+    block pool for matrices larger than one block, as float64 keys packing
     score and column (see :func:`_argsort_block`).
     """
     order = np.empty(S.values.shape, dtype=np.int32)

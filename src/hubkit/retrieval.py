@@ -143,7 +143,7 @@ def _count_best_ranks(V: np.ndarray, gt: GroundTruth) -> np.ndarray:
             above[tied] += np.count_nonzero(equal[tied] & (np.arange(n) < c[tied, None]), axis=1)
         ranks[plo:phi] = above + 1
 
-    # the blocks write disjoint slices of ranks, on the ranking pool
+    # the blocks write disjoint slices of ranks, on the block pool
     core._run_blocks(count, range(0, m, step), core._ranking_threads())
     return np.minimum.reduceat(ranks, starts[:-1])
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import SimilarityMatrix, _freeze, row_topk_desc
 from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, NonPositiveTau
 
@@ -73,12 +74,13 @@ class DISConfig:
             raise KOutOfRange(self.k, self.k)
 
 
-def _shifted_exp(V: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_exp(V: np.ndarray, tau: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(exp(V/tau - top), top)``, ``top`` the column maxima of V/tau, in
-    one fresh float64 buffer; no exp argument is positive."""
+    ``out`` or one fresh float64 buffer; no exp argument is positive."""
     if not 0.0 < tau < np.inf:
         raise NonPositiveTau(tau)
-    out = np.divide(V, tau, dtype=np.float64)
+    # without dtype, a float32 V would be divided in float32, then widened into out
+    out = np.divide(V, tau, out=out, dtype=np.float64)
     top = out.max(axis=0)
     out -= top
     np.exp(out, out=out)
@@ -98,9 +100,23 @@ def inverted_softmax(S: SimilarityMatrix, tau: float = 0.02) -> SimilarityMatrix
     sums to 1.  Columns are max-shifted before exponentiation so no positive
     argument ever reaches exp.  The steps are scipy's ``softmax(S / tau,
     axis=0)`` in the same order, done in one buffer, so the result is equal.
+    A matrix of more than ``core._PASS_BLOCK_VALUES`` values is split into
+    column slabs, one per group of the block pool; every slab holds at least
+    two columns, so its column sums add rows in the order a whole matrix's
+    do.
     """
-    out = _shifted_exp(S.values, tau)[0]
-    out /= out.sum(axis=0)
+    V = S.values
+    m, n = V.shape
+    out = np.empty((m, n))
+    slabs = max(1, min(core._ranking_threads(), n // 2, -(-m * n // core._PASS_BLOCK_VALUES)))
+    edges = [n * k // slabs for k in range(slabs + 1)]
+
+    def slab(k):
+        cols = slice(edges[k], edges[k + 1])
+        terms = _shifted_exp(V[:, cols], tau, out[:, cols])[0]
+        terms /= terms.sum(axis=0)
+
+    core._run_blocks(slab, range(slabs), slabs)
     return S._adopt_values(out)
 
 

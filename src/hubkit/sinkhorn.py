@@ -6,10 +6,15 @@ optimum has the form ``pi_ij = exp((S_ij + f_i + g_j) / tau)`` with dual
 potentials f, g fixed by alternating row/column balancing.
 
 Balancing runs in the scaling domain with log-domain absorption (Schmitzer
-2019): two mat-vecs per sweep with one kernel buffer whose entries never
+2019): two passes over one kernel buffer per sweep, whose entries never
 exceed 1, so the e^100 scale of ``exp(S / tau)`` at tau = 0.01 is never
-formed; sums that underflow are redone as exact log-sum-exps.  The plan is
-materialized only by :func:`sinkhorn`, once, at the end.
+formed; sums that underflow are redone as exact log-sum-exps.  The row
+update is one BLAS mat-vec ``K @ w``.  The column update, the kernel build
+and the plan run in row blocks of at least 256 rows and 2^20 values on the
+process's block pool (:func:`core._run_blocks`): each block adds its own
+column partial, and the partials are summed in block order, so every result
+is the same for any thread count.  The plan is materialized only by
+:func:`sinkhorn`, once, at the end, in the kernel's buffer.
 
 Ranking use: per row, ``pi`` is a monotone transform of ``S + g``, so adding
 the column potential to the similarity matrix reproduces the plan's ranking
@@ -20,6 +25,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from . import core
 from .core import SimilarityMatrix, _freeze
 from .errors import (
     ColMismatch,
@@ -125,9 +131,15 @@ class TransportPlan:
 
 def _violation(pi: np.ndarray, a: np.ndarray | None, b: np.ndarray) -> float:
     """L1 distance of the column sums from b plus, unless a is None, of the row sums from a."""
-    violation = float(np.abs(pi.sum(axis=0) - b).sum())
+    return _sums_violation(pi.sum(axis=0), None if a is None else pi.sum(axis=1), a, b)
+
+
+def _sums_violation(col_sums: np.ndarray, row_sums: np.ndarray | None, a: np.ndarray | None,
+                    b: np.ndarray) -> float:
+    """:func:`_violation` from a plan's column sums and row sums."""
+    violation = float(np.abs(col_sums - b).sum())
     if a is not None:
-        violation += float(np.abs(pi.sum(axis=1) - a).sum())
+        violation += float(np.abs(row_sums - a).sum())
     return violation
 
 
@@ -136,6 +148,31 @@ def _check_shapes(S: SimilarityMatrix, marg: Marginals) -> None:
         raise ShapeMismatch(f"row marginal length {marg.a.shape[0]} vs {S.rows} rows")
     if marg.b.shape[0] != S.cols:
         raise ShapeMismatch(f"column marginal length {marg.b.shape[0]} vs {S.cols} columns")
+
+
+#: Least rows per block of every m x n pass but the row mat-vec; a block
+#: also holds at least ``core._PASS_BLOCK_VALUES`` values.
+_BLOCK_ROWS = 256
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of an n-column pass.  Set by the shape alone, so the
+    blocks, and the order in which their column partials add, do not depend
+    on the thread count; a matrix of one block never reaches the pool."""
+    return max(_BLOCK_ROWS, core._PASS_BLOCK_VALUES // n)
+
+
+def _block_count(shape: tuple) -> int:
+    return -(-shape[0] // _block_rows(shape[1]))
+
+
+def _in_row_blocks(shape: tuple, work) -> None:
+    """Call ``work(k, rows)`` for the k-th block ``rows`` (a slice) of the
+    row blocks of an m x n pass, on up to ``HUBKIT_THREADS`` block groups of
+    the pool."""
+    rows = _block_rows(shape[1])
+    core._run_blocks(lambda lo: work(lo // rows, slice(lo, lo + rows)),
+                     range(0, shape[0], rows), core._ranking_threads())
 
 
 #: A scaling whose log leaves [-_ABSORB, _ABSORB] is absorbed into the kernel.
@@ -155,7 +192,8 @@ def _gather(blocks: tuple, lost: np.ndarray, on_rows: bool) -> np.ndarray:
                            for B, lo, hi in zip(blocks, edges, edges[1:])])
 
 
-def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: SinkhornConfig):
+def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: SinkhornConfig,
+                    kernel: np.ndarray | None = None):
     """Potentials of the balancing, without the plan: ``(f, g, sweeps,
     row_residual, converged)``; the residual is the L1 row residual of (f, g)
     after the last sweep (0 when rows are free).
@@ -166,33 +204,47 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     multiplies ``K = exp((V + F + G) / tau)`` by the scaling
     ``exp((g - G) / tau)`` or ``exp((f - F) / tau)``.  The anchors F, G start
     at minus the row (or, rows free, column) maxima and take the values of
-    f, g when a scaling leaves ``e^+-_ABSORB``, so K never exceeds 1.  Column
-    sums use einsum, which adds in one order for every column, so equal
-    columns get equal ``g`` (BLAS rounds the columns of a tail block apart).
+    f, g when a scaling leaves ``e^+-_ABSORB``, so K never exceeds 1.  Each
+    row block's column partial uses einsum, which adds in one order for every
+    column, and the partials add in block order, so equal columns get equal
+    ``g`` (BLAS rounds the columns of a tail block apart).  K is built in
+    ``kernel`` (a float64 m x n buffer) when one is given.
     """
     tau = cfg.tau
     m, n = blocks[0].shape[0], sum(B.shape[1] for B in blocks)
     log_a, log_b = None if a is None else np.log(a), np.log(b)
     # float64 whatever the blocks' dtype: the anchors take the values of f, g
-    F = np.zeros(m) if a is None else -np.maximum.reduce([B.max(axis=1) for B in blocks]).astype(np.float64)
+    F = np.zeros(m)
     G = -np.concatenate([B.max(axis=0) for B in blocks], dtype=np.float64) if a is None else np.zeros(n)
-    K = np.empty((m, n))
+    K = np.empty((m, n)) if kernel is None else kernel
+    partials = np.empty((_block_count(K.shape), n))
+
+    def build(k, r, row_maxima=False):
+        if row_maxima:
+            F[r] = -np.maximum.reduce([B[r].max(axis=1) for B in blocks])
+        Kr, lo = K[r], 0
+        for B in blocks:
+            hi = lo + B.shape[1]
+            np.add(B[r], F[r, None], out=Kr[:, lo:hi])
+            lo = hi
+        np.add(Kr, G, out=Kr)
+        np.divide(Kr, tau, out=Kr)
+        np.exp(Kr, out=Kr)
 
     def absorb(f, g):
         F[:], G[:] = f, g
-        lo = 0
-        for B in blocks:
-            hi = lo + B.shape[1]
-            np.add(B, F[:, None], out=K[:, lo:hi])
-            lo = hi
-        np.add(K, G, out=K)
-        np.divide(K, tau, out=K)
-        np.exp(K, out=K)
+        _in_row_blocks(K.shape, build)
 
     def update(on_rows, other):
         anchor, other_anchor, log_marg = (F, G, log_a) if on_rows else (G, F, log_b)
         w = np.exp((other - other_anchor) / tau)
-        s = K @ w if on_rows else np.einsum("ij,i->j", K, w)
+        if on_rows:
+            s = K @ w
+        elif len(partials) == 1:  # the one partial, without the blocks' per-sweep overhead
+            s = np.einsum("ij,i->j", K, w)
+        else:
+            _in_row_blocks(K.shape, lambda k, r: np.einsum("ij,i->j", K[r], w[r], out=partials[k]))
+            s = partials.sum(axis=0)
         with np.errstate(divide="ignore"):
             pot = anchor + tau * (log_marg - np.log(s))
         lost = np.flatnonzero(~(s >= w.sum() * _LOST))
@@ -207,7 +259,7 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     def rows(g):
         return np.zeros(m) if a is None else update(True, g)
 
-    absorb(F, G)
+    _in_row_blocks(K.shape, lambda k, r: build(k, r, row_maxima=a is not None))
     f_next = rows(np.zeros(n))
     converged = cfg.tol <= 0.0
     for sweep in range(cfg.max_iters):
@@ -238,18 +290,28 @@ def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = Sinkhor
     """
     _check_shapes(S, marg)
     V = S.values
-    f, g, iterations, _, converged = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
-    pi = V + f[:, None]  # exp((V + f + g) / tau), in one buffer
-    pi += g
-    pi /= cfg.tau
-    np.exp(pi, out=pi)
+    m, n = V.shape
+    pi = np.empty((m, n))
+    f, g, iterations, _, converged = _sinkhorn_duals((V,), marg.a, marg.b, cfg, kernel=pi)
+    row_sums, col_partials = np.empty(m), np.empty((_block_count(V.shape), n))
+
+    def plan(k, r):
+        P = pi[r]  # exp((V + f + g) / tau), over the kernel
+        np.add(V[r], f[r, None], out=P)
+        P += g
+        P /= cfg.tau
+        np.exp(P, out=P)
+        row_sums[r] = P.sum(axis=1)
+        col_partials[k] = P.sum(axis=0)
+
+    _in_row_blocks(V.shape, plan)
     return TransportPlan(
         pi=pi,
         f=f,
         g=g,
         tau=cfg.tau,
         iterations_run=iterations,
-        marginal_violation=_violation(pi, marg.a, marg.b),
+        marginal_violation=_sums_violation(col_partials.sum(axis=0), row_sums, marg.a, marg.b),
         converged=converged,
         _adopt=True,
     )
@@ -263,8 +325,11 @@ def sn_normalize(S: SimilarityMatrix, cfg: SinkhornConfig = SinkhornConfig()) ->
     ranking, so only ``g`` is applied.  The balancing runs through
     :func:`sinkhorn`, whose result reports its sweeps and convergence.
     """
-    plan = sinkhorn(S, Marginals.uniform(S.rows, S.cols), cfg)
-    return S._adopt_values(S.values + plan.g[None, :])
+    g = sinkhorn(S, Marginals.uniform(S.rows, S.cols), cfg).g
+    V = S.values
+    out = np.empty(V.shape)
+    _in_row_blocks(V.shape, lambda k, r: np.add(V[r], g, out=out[r]))
+    return S._adopt_values(out)
 
 
 def estimate_target_hubness(

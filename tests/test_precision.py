@@ -12,12 +12,14 @@ import dataclasses
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hubkit import core
 from hubkit import (
     DISConfig,
     DualISConfig,
@@ -135,6 +137,16 @@ class TestScaling:
         _same(dynamic_inverted_softmax, [V, Bq], dis, tau)
         _same(dual_inverted_softmax, [V, Bq, Bt], dual)
         _same(dual_is_compensations, [Bq, Bt], dual)
+
+    @given(cols=st.integers(4, 12), tau=_TAUS, threads=st.integers(2, 6), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_inverted_softmax_in_column_slabs(self, cols, tau, threads, data):
+        # 2 to 6 slabs whatever the size, each divided in float64
+        V = data.draw(_matrix(cols=cols, max_side=12))
+        with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(
+            core, "_ranking_threads", lambda: threads
+        ):
+            _same(inverted_softmax, [V], tau)
 
     @given(V=_matrix(), B=_matrix(), tau=_TAUS)
     @settings(max_examples=60, deadline=None)

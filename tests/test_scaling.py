@@ -1,5 +1,7 @@
 """Inverted softmax, its additive form, and the bank-based variants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp, softmax
 
+from hubkit import core
 from hubkit import (
     ColMismatch,
     DISConfig,
@@ -102,6 +105,34 @@ class TestInvertedSoftmaxEqualsScipy:
 
     def test_random(self):
         V = np.random.default_rng(11).uniform(-1, 1, (300, 200))
+        out = inverted_softmax(SimilarityMatrix(V), 0.02)
+        assert np.array_equal(out.values, softmax(V / 0.02, axis=0))
+
+    @given(
+        V=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=4, max_side=30),
+            elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(-1, 1),
+        ),
+        tau=st.sampled_from([1.0, 0.1, 0.02, 0.005]),
+        threads=st.integers(2, 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tie_heavy_in_column_slabs(self, V, tau, threads):
+        # one slab per group whatever the size: 2 to 8 slabs of 2 or more columns
+        with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(
+            core, "_ranking_threads", lambda: threads
+        ):
+            out = inverted_softmax(SimilarityMatrix(V), tau)
+        assert np.array_equal(out.values, softmax(V / tau, axis=0))
+
+    @pytest.mark.parametrize("n", [3500, 4001])
+    def test_random_in_default_slabs(self, monkeypatch, n):
+        # more than 2^20 values: a slab per group of the pool
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
+        rng = np.random.default_rng(12)
+        V = np.round(rng.uniform(-1, 1, (300, n)), 2)
+        V[rng.random(V.shape) < 0.05] = -0.0
         out = inverted_softmax(SimilarityMatrix(V), 0.02)
         assert np.array_equal(out.values, softmax(V / 0.02, axis=0))
 

@@ -1,7 +1,9 @@
 """Entropic transport solver, Sinkhorn normalization, and the dual-bank form."""
 
+import contextlib
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,23 @@ from hubkit import (
     sinkhorn,
     sn_normalize,
 )
+from hubkit import core
 from hubkit.sinkhorn import _gather, _sinkhorn_duals
+
+_SK = sys.modules["hubkit.sinkhorn"]
+#: Block rows that split every drawn matrix of more than 3 rows, so the
+#: properties that also run across row blocks cross block edges.
+_SMALL_BLOCKS = 3
+
+
+@contextlib.contextmanager
+def _row_blocks(rows, threads=3):
+    """The Sinkhorn passes in blocks of ``rows`` rows whatever the width, on
+    ``threads`` block groups; a context manager, not a fixture, so
+    hypothesis tests can use it."""
+    with mock.patch.object(_SK, "_BLOCK_ROWS", rows), mock.patch.object(core, "_PASS_BLOCK_VALUES", 0), \
+            mock.patch.object(core, "_ranking_threads", lambda: threads):
+        yield
 
 
 def _naive_sinkhorn(V, a, b, tau, sweeps):
@@ -376,12 +394,77 @@ def _assert_ranks_like(out, ref, V):
     assert np.all((out[:, :, None] == out[:, None, :])[:, equal_columns])
 
 
+def _normalizer_outputs(V):
+    """Every array that the Sinkhorn fit, the plan, SN and IS return for V."""
+    S, cfg = SimilarityMatrix(V), SinkhornConfig(tau=0.01, max_iters=10)
+    m, n = V.shape
+    f, g, *rest = _sinkhorn_duals((V,), np.full(m, 1 / m), np.full(n, 1 / n), cfg)
+    plan = sinkhorn(S, Marginals.uniform(m, n), cfg)
+    outputs = [f, g, np.array(rest), plan.pi, plan.f, plan.g, np.array(plan.marginal_violation),
+               sn_normalize(S, cfg).values, inverted_softmax(S, 0.02).values]
+    return [x.tobytes() for x in outputs]
+
+
+class TestBlockPool:
+    """The normalizers' m x n passes run in fixed row blocks (the inverted
+    softmax in column slabs) on the process's block pool."""
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # three row blocks and up to four slabs, duplicated columns; the
+        # blocks write disjoint slices of shared buffers, so switch often
+        monkeypatch.setattr(core, "_PASS_BLOCK_VALUES", 1 << 16)
+        rng = np.random.default_rng(47)
+        V = rng.uniform(-1, 1, (700, 300))
+        V[:, 200:] = V[:, rng.integers(200, size=100)]
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 8):
+                monkeypatch.setattr(core, "_ranking_threads", lambda: threads)
+                outputs.append(_normalizer_outputs(V))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pool_only_for_more_than_one_block(self, monkeypatch):
+        submitted, pool = [], core._ranking_pool
+
+        class SpyPool:
+            def submit(self, *call):
+                submitted.append(call)
+                return pool().submit(*call)
+
+        monkeypatch.setattr(core, "_ranking_pool", SpyPool)
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
+        rng = np.random.default_rng(48)
+        # at most 2^20 values or 256 rows: one block, and one slab
+        _normalizer_outputs(rng.uniform(-1, 1, (1000, 1000)))
+        _normalizer_outputs(rng.uniform(-1, 1, (_SK._BLOCK_ROWS, 4000)))
+        assert submitted == []
+        S = SimilarityMatrix(rng.uniform(-1, 1, (1100, 1000)))  # two blocks of 1048 rows
+        sn_normalize(S)
+        assert submitted
+        submitted.clear()
+        inverted_softmax(S, 0.02)
+        assert len(submitted) == 1  # two slabs
+
+
 class TestScalingDomainMatchesLogDomain:
     """The scaling-domain solver against the log-domain loop it replaced."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_duals_plan_and_rankings(self, data):
+        self._duals_plan_and_rankings(data)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_duals_plan_and_rankings_across_row_blocks(self, data):
+        with _row_blocks(_SMALL_BLOCKS):
+            self._duals_plan_and_rankings(data)
+
+    def _duals_plan_and_rankings(self, data):
         V, cfg = _reference_inputs(data)
         free_rows = data.draw(st.booleans())
         marg = Marginals.column_only(V.shape[1]) if free_rows else Marginals.uniform(*V.shape)
@@ -409,6 +492,15 @@ class TestScalingDomainMatchesLogDomain:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_dbsn_rankings(self, data):
+        self._dbsn_rankings(data)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dbsn_rankings_across_row_blocks(self, data):
+        with _row_blocks(_SMALL_BLOCKS):
+            self._dbsn_rankings(data)
+
+    def _dbsn_rankings(self, data):
         V, cfg = _reference_inputs(data, min_rows=2)
         n = data.draw(st.integers(1, V.shape[1]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -428,11 +520,72 @@ class TestScalingDomainMatchesLogDomain:
         _, g, _, _, _ = _sinkhorn_duals((V,), np.full(37, 1 / 37), np.full(43, 1 / 43), SinkhornConfig())
         assert np.all(g == g[0])
 
+    def test_equal_columns_get_equal_potentials_across_row_blocks(self):
+        # three default row blocks, whose column partials add in block order
+        rng = np.random.default_rng(41)
+        V = np.repeat(rng.uniform(-1, 1, (700, 1)), 43, axis=1)
+        with _row_blocks(_SK._BLOCK_ROWS):
+            _, g, _, _, _ = _sinkhorn_duals((V,), np.full(700, 1 / 700), np.full(43, 1 / 43), SinkhornConfig())
+        assert np.all(g == g[0])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_row_blocks_move_g_by_a_few_ulps(self, data):
+        """The stated tolerance of the blocked column sums: against one block
+        (the single einsum per column update), |g - g_one_block| stays within
+        8 eps max(1, max|g|)."""
+        V, cfg = _reference_inputs(data)
+        marg = Marginals.column_only(V.shape[1]) if data.draw(st.booleans()) else Marginals.uniform(*V.shape)
+        with _row_blocks(V.shape[0]):
+            _, g1, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
+        with _row_blocks(data.draw(st.integers(1, 7))):
+            _, g, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
+        bound = 8 * np.finfo(np.float64).eps * max(1.0, float(np.abs(g1).max()))
+        assert np.abs(g - g1).max() <= bound
+
+    def test_lost_sums_and_absorption_across_row_blocks(self, monkeypatch):
+        # a sunken column loses its sums and a subnormal one is absorbed;
+        # both are read across the edges of five-row blocks
+        V = np.random.default_rng(46).uniform(-1, 1, (23, 9))
+        V[:, 2] = -9.0
+        V[:, 5] = np.delete(V, 5, axis=1).max(axis=1) - 7.3
+        cfg = SinkhornConfig(tau=0.01, max_iters=12)
+        marg = Marginals.uniform(23, 9)
+        lost_columns, passes = [], []
+        gather, in_row_blocks = _SK._gather, _SK._in_row_blocks
+
+        def spy_gather(blocks, lost, on_rows):
+            if not on_rows:
+                lost_columns.extend(lost.tolist())
+            return gather(blocks, lost, on_rows)
+
+        def spy_blocks(shape, work):
+            passes.append(work.__name__)
+            in_row_blocks(shape, work)
+
+        monkeypatch.setattr(_SK, "_gather", spy_gather)
+        monkeypatch.setattr(_SK, "_in_row_blocks", spy_blocks)
+        with _row_blocks(5):
+            f, g, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
+        assert 2 in lost_columns and "build" in passes  # absorb passes build itself
+        f_ref, g_ref, _, _ = _log_domain_reference(V, marg.a, marg.b, cfg.tau, cfg.max_iters, cfg.tol)
+        assert np.all(np.abs(g - g_ref) <= 1e-9 * np.maximum(1.0, np.abs(g_ref)))
+        assert np.all(np.abs(f - f_ref) <= 1e-9 * np.maximum(1.0, np.abs(f_ref)))
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_dbsn_hubness_equals_the_stacked_fit(self, data):
         """Balancing the two bank blocks is bit for bit the balancing of their
         stack, lost sums ("sunken" and "subnormal" columns) included."""
+        self._dbsn_hubness_equals_the_stacked_fit(data)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dbsn_hubness_equals_the_stacked_fit_across_row_blocks(self, data):
+        with _row_blocks(_SMALL_BLOCKS):
+            self._dbsn_hubness_equals_the_stacked_fit(data)
+
+    def _dbsn_hubness_equals_the_stacked_fit(self, data):
         V, cfg = _reference_inputs(data)
         for c in data.draw(st.lists(st.integers(0, V.shape[1] - 1), max_size=4)):
             V[:, c] = -800.0 * cfg.tau - 1.0  # more lost columns, in either block
