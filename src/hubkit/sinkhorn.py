@@ -9,12 +9,13 @@ Balancing runs in the scaling domain with log-domain absorption (Schmitzer
 2019): two passes over one kernel buffer per sweep, whose entries never
 exceed 1, so the e^100 scale of ``exp(S / tau)`` at tau = 0.01 is never
 formed; sums that underflow are redone as exact log-sum-exps.  The row
-update is one BLAS mat-vec ``K @ w``.  The column update, the kernel build
-and the plan run in row blocks of at least 256 rows and 2^20 values on the
-process's block pool (:func:`core._run_blocks`): each block adds its own
-column partial, and the partials are summed in block order, so every result
-is the same for any thread count.  The plan is materialized only by
-:func:`sinkhorn`, once, at the end, in the kernel's buffer.
+update is one BLAS mat-vec ``K @ w``.  The kernel build and the plan run in
+row blocks of at least 256 rows and 2^20 values on the process's block pool
+(:func:`core._run_blocks`), and the column update of a matrix of more than
+one block in column slabs, one per group: each column adds its rows in one
+order whatever the slabs, so every result is the same for any block size
+and thread count.  The plan is materialized only by :func:`sinkhorn`, once,
+at the end, in the kernel's buffer.
 
 Ranking use: per row, ``pi`` is a monotone transform of ``S + g``, so adding
 the column potential to the similarity matrix reproduces the plan's ranking
@@ -192,6 +193,25 @@ def _gather(blocks: tuple, lost: np.ndarray, on_rows: bool) -> np.ndarray:
                            for B, lo, hi in zip(blocks, edges, edges[1:])])
 
 
+def _column_sums(K: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w @ K`` by einsum, which adds each column's rows in row order.  A
+    matrix of more than one row block is split into column slabs, one per
+    group of the block pool; every slab holds at least two columns (einsum
+    sums a lone column in another order), so the sums are the bits of one
+    einsum over K whatever the slabs."""
+    n = K.shape[1]
+    s = np.empty(n)
+    slabs = max(1, min(core._ranking_threads(), n // 2)) if _block_count(K.shape) > 1 else 1
+    edges = [n * k // slabs for k in range(slabs + 1)]
+
+    def slab(k):
+        cols = slice(edges[k], edges[k + 1])
+        np.einsum("ij,i->j", K[:, cols], w, out=s[cols])
+
+    core._run_blocks(slab, range(slabs), slabs)
+    return s
+
+
 def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: SinkhornConfig,
                     kernel: np.ndarray | None = None):
     """Potentials of the balancing, without the plan: ``(f, g, sweeps,
@@ -204,11 +224,11 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     multiplies ``K = exp((V + F + G) / tau)`` by the scaling
     ``exp((g - G) / tau)`` or ``exp((f - F) / tau)``.  The anchors F, G start
     at minus the row (or, rows free, column) maxima and take the values of
-    f, g when a scaling leaves ``e^+-_ABSORB``, so K never exceeds 1.  Each
-    row block's column partial uses einsum, which adds in one order for every
-    column, and the partials add in block order, so equal columns get equal
-    ``g`` (BLAS rounds the columns of a tail block apart).  K is built in
-    ``kernel`` (a float64 m x n buffer) when one is given.
+    f, g when a scaling leaves ``e^+-_ABSORB``, so K never exceeds 1.  Column
+    sums use einsum, which adds in one order for every column, so equal
+    columns get equal ``g`` (BLAS rounds the columns of a tail block apart);
+    see :func:`_column_sums`.  K is built in ``kernel`` (a float64 m x n
+    buffer) when one is given.
     """
     tau = cfg.tau
     m, n = blocks[0].shape[0], sum(B.shape[1] for B in blocks)
@@ -217,7 +237,6 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     F = np.zeros(m)
     G = -np.concatenate([B.max(axis=0) for B in blocks], dtype=np.float64) if a is None else np.zeros(n)
     K = np.empty((m, n)) if kernel is None else kernel
-    partials = np.empty((_block_count(K.shape), n))
 
     def build(k, r, row_maxima=False):
         if row_maxima:
@@ -238,13 +257,7 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     def update(on_rows, other):
         anchor, other_anchor, log_marg = (F, G, log_a) if on_rows else (G, F, log_b)
         w = np.exp((other - other_anchor) / tau)
-        if on_rows:
-            s = K @ w
-        elif len(partials) == 1:  # the one partial, without the blocks' per-sweep overhead
-            s = np.einsum("ij,i->j", K, w)
-        else:
-            _in_row_blocks(K.shape, lambda k, r: np.einsum("ij,i->j", K[r], w[r], out=partials[k]))
-            s = partials.sum(axis=0)
+        s = K @ w if on_rows else _column_sums(K, w)
         with np.errstate(divide="ignore"):
             pot = anchor + tau * (log_marg - np.log(s))
         lost = np.flatnonzero(~(s >= w.sum() * _LOST))

@@ -521,7 +521,7 @@ class TestScalingDomainMatchesLogDomain:
         assert np.all(g == g[0])
 
     def test_equal_columns_get_equal_potentials_across_row_blocks(self):
-        # three default row blocks, whose column partials add in block order
+        # three default row blocks, so the column sums run in column slabs
         rng = np.random.default_rng(41)
         V = np.repeat(rng.uniform(-1, 1, (700, 1)), 43, axis=1)
         with _row_blocks(_SK._BLOCK_ROWS):
@@ -531,17 +531,18 @@ class TestScalingDomainMatchesLogDomain:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_row_blocks_move_g_by_a_few_ulps(self, data):
-        """The stated tolerance of the blocked column sums: against one block
-        (the single einsum per column update), |g - g_one_block| stays within
-        8 eps max(1, max|g|)."""
+        """Against one block (the single einsum per column update), row blocks
+        and column slabs move g by no ulp at all, nor f: each column adds its
+        rows in one order whatever the blocks and the thread count."""
         V, cfg = _reference_inputs(data)
         marg = Marginals.column_only(V.shape[1]) if data.draw(st.booleans()) else Marginals.uniform(*V.shape)
         with _row_blocks(V.shape[0]):
-            _, g1, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
-        with _row_blocks(data.draw(st.integers(1, 7))):
-            _, g, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
+            f1, g1, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
+        with _row_blocks(data.draw(st.integers(1, 7)), threads=data.draw(st.integers(1, 4))):
+            f, g, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
         bound = 8 * np.finfo(np.float64).eps * max(1.0, float(np.abs(g1).max()))
         assert np.abs(g - g1).max() <= bound
+        assert np.array_equal(g, g1) and np.array_equal(f, f1)
 
     def test_lost_sums_and_absorption_across_row_blocks(self, monkeypatch):
         # a sunken column loses its sums and a subnormal one is absorbed;
