@@ -17,14 +17,15 @@ above the file's column count depends on the data and is a data error.
 Every subcommand is deterministic given its flags and seed.
 
 The environment variable HUBKIT_THREADS caps the thread pools of the
-numeric backends and the number of threads that run row blocks on the
-process's one block pool (0 or unset = automatic: one thread per available
-CPU): ranking, evaluation, and the m x n passes of the Sinkhorn fit, its
-plan, SN and the inverted softmax.  Those passes split the matrix in blocks
-set by its shape alone, so every output is the same for any thread count.  Importing the
-hubkit package applies the BLAS cap, before numpy loads, so it holds for the
-library as well as here.  The other solver loops (otn, l2n, hn) do not use
-the pool.
+numeric backends and the number of threads that run blocks on the process's
+one block pool (0 or unset = automatic: one thread per available CPU):
+ranking, evaluation, and the m x n passes of the Sinkhorn fit, its plan,
+``S + h`` and the inverted softmax.  Rows per block are set by the matrix's
+shape alone, and a pass of more than one row block that covers whole
+columns runs in column slabs instead, so every output is the same for any
+thread count.  Importing the hubkit package applies the BLAS cap, before
+numpy loads, so it holds for the library as well as here.  The other solver
+loops (otn, l2n, hn) do not use the pool.
 
 Only emd, banksweep, and normalize with --method otn, l2n, or hn import
 scipy; every other subcommand runs on numpy alone, which keeps process
@@ -215,13 +216,19 @@ def _cmd_normalize(args) -> int:
     flags = ("bank_targets_sim", "bank_bank_sim", "tbank_targets_sim")
     tau, banks, fits, call = _method(args.method, {flag for flag in flags if getattr(args, flag) is not None})
     tau = tau if args.tau is None else args.tau
-    # a bank file over the targets must have --input's columns: refuse
-    # another width from the headers, before any matrix is read
+    # a bank file over the targets must have --input's columns, and
+    # --bank-bank-sim the rows of --bank-targets-sim: refuse another shape
+    # from the headers, before any matrix is read
     cols = io.similarity_shape(args.input)[1] if banks else None
     for bank in (getattr(args, flag) for flag in banks if flag in _TARGET_BANKS):
         bank_cols = io.similarity_shape(bank)[1]
         if cols != bank_cols:
             raise errors.ColMismatch(f"{args.input} has {cols} target columns but {bank} has {bank_cols}")
+    if "bank_bank_sim" in banks:
+        rows = [io.similarity_shape(getattr(args, flag))[0] for flag in ("bank_targets_sim", "bank_bank_sim")]
+        if rows[0] != rows[1]:
+            raise errors.RowMismatch(f"{args.bank_targets_sim} has {rows[0]} query-bank rows "
+                                     f"but {args.bank_bank_sim} has {rows[1]}")
     read_banks = (io.read_similarity(getattr(args, flag)) for flag in banks)
     if fits:
         # the bank matrices are dropped once h is fitted, before S is read

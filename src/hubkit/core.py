@@ -1,4 +1,4 @@
-"""Embedding sets, cosine similarity, and rank extraction.
+"""Embedding sets, cosine similarity, rank extraction, and the block pool.
 
 SIM1 values stay float32; every kernel computes in float64.  A
 :class:`SimilarityMatrix` keeps float32 scores (a SIM1 file's) at that
@@ -8,6 +8,11 @@ as its float64 widening, and the Sinkhorn solver at temperature 0.01 keeps
 its headroom.  Embeddings are float64.  Arrays stored in the domain types
 are made read-only so every operation stays a pure function of immutable
 inputs.
+
+Every m x n pass that runs in parts, ranking and evaluation as well as the
+normalizers' passes, is split here into row blocks or column slabs for one
+process-wide block pool (:func:`_in_row_blocks`, :func:`_in_column_slabs`),
+by the shape alone, so every result is the same for any thread count.
 """
 
 import os
@@ -15,7 +20,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -213,11 +217,17 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
 #: the size of each thread's key scratch (512 KiB, which stays in L2).
 _SORT_BLOCK_VALUES = 1 << 16
 
-#: Least size, in values, of one block of the normalizers' m x n passes (the
-#: Sinkhorn kernel, column sums and plan, SN's ``S + g``, the inverted
+#: Least rows, and least values, of one block of the normalizers' m x n
+#: passes (the Sinkhorn kernel, column sums and plan, ``S + h``, the inverted
 #: softmax's slabs): about a millisecond of their work, which a handoff to
 #: the pool costs a small share of.
+_PASS_BLOCK_ROWS = 256
 _PASS_BLOCK_VALUES = 1 << 20
+
+
+def _pass_rows(n: int) -> int:
+    """Rows per block of a normalizer's pass over n columns."""
+    return max(_PASS_BLOCK_ROWS, _PASS_BLOCK_VALUES // n)
 
 
 def _ranking_threads() -> int:
@@ -239,9 +249,8 @@ _pool_lock = threading.Lock()
 
 def _ranking_pool() -> ThreadPoolExecutor:
     """The process's one block pool, started on first use with a thread per
-    CPU the process may run on.  Named for its first user: it runs the row
-    blocks of ranking and evaluation, and the blocks and slabs of the
-    Sinkhorn and inverted-softmax passes (see :func:`_run_blocks`)."""
+    CPU the process may run on.  Named for its first user: it runs every
+    block and slab of :func:`_in_row_blocks` and :func:`_in_column_slabs`."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -277,6 +286,33 @@ def _run_blocks(work, starts, groups: int) -> None:
         wait(futures)
     for f in futures:
         f.result()
+
+
+def _in_row_blocks(m: int, rows: int, work) -> None:
+    """Call ``work(r)`` for every block ``r`` (a slice) of ``rows`` rows of
+    an m-row pass, on up to :func:`_ranking_threads` block groups.
+
+    Callers set ``rows`` from the matrix's shape alone, so the blocks do not
+    depend on the thread count, and a matrix of one block never reaches the
+    pool.  The blocks write disjoint slices of shared buffers; numpy
+    releases the GIL inside them.
+    """
+    _run_blocks(lambda lo: work(slice(lo, min(lo + rows, m))), range(0, m, rows), _ranking_threads())
+
+
+def _in_column_slabs(shape: tuple, work) -> None:
+    """Call ``work(c)`` for column slabs ``c`` (slices) of an m x n
+    normalizer pass that covers a whole column at once.
+
+    A pass of more than one row block (see :func:`_pass_rows`) is split into
+    one slab per block group, each of at least two columns: numpy sums a
+    lone column in another order, so every column adds its rows in the
+    order of one pass over the whole matrix, whatever the slabs.
+    """
+    m, n = shape
+    slabs = max(1, min(_ranking_threads(), n // 2)) if m > _pass_rows(n) else 1
+    edges = [n * k // slabs for k in range(slabs + 1)]
+    _run_blocks(lambda k: work(slice(edges[k], edges[k + 1])), range(slabs), slabs)
 
 
 _scratch = threading.local()
@@ -341,21 +377,6 @@ def _topk_block(V: np.ndarray, out: np.ndarray, k: int) -> None:
         out[cut] = np.argsort(neg[cut], axis=1, kind="stable")[:, :k]
 
 
-def _by_row_blocks(V: np.ndarray, out: np.ndarray, fill) -> None:
-    """Call ``fill(V[rows], out[rows])`` for row blocks of V.
-
-    A matrix of more than one block's worth of values is spread over up to
-    :func:`_ranking_threads` block groups, with at least one block each, on
-    the block pool (numpy's sorts release the GIL).
-    """
-    m, n = V.shape
-    # no more groups than blocks' worth of values: handing a small matrix to
-    # another thread costs more than sorting it
-    groups = min(_ranking_threads(), m, -(-m * n // _SORT_BLOCK_VALUES))
-    rows = max(1, min(_SORT_BLOCK_VALUES // n, -(-m // groups)))
-    _run_blocks(lambda lo: fill(V[lo:lo + rows], out[lo:lo + rows]), range(0, m, rows), groups)
-
-
 def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
     """Sort each row's column indices by descending score, into an int32
     RankMatrix.
@@ -367,7 +388,7 @@ def row_argsort_desc(S: SimilarityMatrix) -> RankMatrix:
     score and column (see :func:`_argsort_block`).
     """
     order = np.empty(S.values.shape, dtype=np.int32)
-    _by_row_blocks(S.values, order, _argsort_block)
+    _in_row_blocks(S.rows, max(1, _SORT_BLOCK_VALUES // S.cols), lambda r: _argsort_block(S.values[r], order[r]))
     return RankMatrix(order, _adopt=True)
 
 
@@ -380,5 +401,5 @@ def row_topk_desc(S: SimilarityMatrix, k: int) -> RankMatrix:
     if not 1 <= k <= S.cols:
         raise KOutOfRange(k, S.cols)
     order = np.empty((S.rows, k), dtype=np.int32)
-    _by_row_blocks(S.values, order, partial(_topk_block, k=k))
+    _in_row_blocks(S.rows, max(1, _SORT_BLOCK_VALUES // S.cols), lambda r: _topk_block(S.values[r], order[r], k))
     return RankMatrix(order, targets=S.cols, _adopt=True)

@@ -179,9 +179,10 @@ def read_ground_truth(path) -> GroundTruth:
     """Parse a text file with one line of comma-separated target indices per
     query; blank lines are skipped.
 
-    Lines end at LF, CRLF or CR.  A file that is not UTF-8, or a
-    line that is not a list of nonnegative integers, raises ``DataError``
-    naming the file (and the 1-based line number).
+    Lines end at LF, CRLF or CR.  A file that is not UTF-8, or a line that
+    is not a comma-separated list of ASCII decimal digit runs (spaces around
+    the commas allowed), raises ``DataError`` naming the file (and the
+    1-based line number).
     """
     try:
         text = _read_file(path).decode("utf-8")
@@ -192,14 +193,11 @@ def read_ground_truth(path) -> GroundTruth:
         line = line.strip()
         if not line:
             continue
-        try:
-            targets = [int(part) for part in line.split(",")]
-            valid = min(targets) >= 0
-        except ValueError:
-            valid = False
-        if not valid:
+        # int() would also take "1_0", "+2", "-0" and non-ASCII digits
+        parts = [part.strip() for part in line.split(",")]
+        if not all(part.isascii() and part.isdigit() for part in parts):
             raise DataError(f"{path} (line {number}): expected nonnegative target indices, got {line!r}")
-        pairs.append(frozenset(targets))
+        pairs.append(frozenset(int(part) for part in parts))
     return GroundTruth(tuple(pairs))
 
 

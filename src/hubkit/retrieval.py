@@ -128,13 +128,11 @@ def _count_best_ranks(V: np.ndarray, gt: GroundTruth) -> np.ndarray:
     m, n = V.shape
     pair_rows, cols, starts = _truth_pairs(gt, m, n)
     ranks = np.empty(cols.size, dtype=np.int64)
-    step = max(1, _COUNT_BLOCK_VALUES // n)
 
-    def count(lo):
-        hi = min(lo + step, m)
-        plo, phi = starts[lo], starts[hi]
+    def count(rows):
+        plo, phi = starts[rows.start], starts[rows.stop]
         r, c = pair_rows[plo:phi], cols[plo:phi]
-        B = V[lo:hi] if phi - plo == hi - lo else V[r]
+        B = V[rows] if phi - plo == rows.stop - rows.start else V[r]
         s = V[r, c][:, None]
         above = np.count_nonzero(B > s, axis=1)
         equal = B == s
@@ -143,8 +141,8 @@ def _count_best_ranks(V: np.ndarray, gt: GroundTruth) -> np.ndarray:
             above[tied] += np.count_nonzero(equal[tied] & (np.arange(n) < c[tied, None]), axis=1)
         ranks[plo:phi] = above + 1
 
-    # the blocks write disjoint slices of ranks, on the block pool
-    core._run_blocks(count, range(0, m, step), core._ranking_threads())
+    # the blocks write disjoint slices of ranks
+    core._in_row_blocks(m, max(1, _COUNT_BLOCK_VALUES // n), count)
     return np.minimum.reduceat(ranks, starts[:-1])
 
 

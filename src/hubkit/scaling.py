@@ -10,6 +10,9 @@ variants replace the query set in the denominator with query/target banks.
 Sign convention used throughout hubkit: compensations are stored so that the
 normalized score is ``S + h``.  Subtractive presentations of the same
 quantity are the identical number with the opposite stored sign.
+
+The inverted softmax and ``S + h`` run in the column slabs and row blocks
+that :mod:`hubkit.core` sets for a normalizer pass.
 """
 
 from dataclasses import dataclass
@@ -100,23 +103,17 @@ def inverted_softmax(S: SimilarityMatrix, tau: float = 0.02) -> SimilarityMatrix
     sums to 1.  Columns are max-shifted before exponentiation so no positive
     argument ever reaches exp.  The steps are scipy's ``softmax(S / tau,
     axis=0)`` in the same order, done in one buffer, so the result is equal.
-    A matrix of more than ``core._PASS_BLOCK_VALUES`` values is split into
-    column slabs, one per group of the block pool; every slab holds at least
-    two columns, so its column sums add rows in the order a whole matrix's
-    do.
+    The columns run in slabs (:func:`core._in_column_slabs`), whose column
+    sums add rows in the order a whole matrix's do.
     """
     V = S.values
-    m, n = V.shape
-    out = np.empty((m, n))
-    slabs = max(1, min(core._ranking_threads(), n // 2, -(-m * n // core._PASS_BLOCK_VALUES)))
-    edges = [n * k // slabs for k in range(slabs + 1)]
+    out = np.empty(V.shape)
 
-    def slab(k):
-        cols = slice(edges[k], edges[k + 1])
-        terms = _shifted_exp(V[:, cols], tau, out[:, cols])[0]
+    def slab(c):
+        terms = _shifted_exp(V[:, c], tau, out[:, c])[0]
         terms /= terms.sum(axis=0)
 
-    core._run_blocks(slab, range(slabs), slabs)
+    core._in_column_slabs(V.shape, slab)
     return S._adopt_values(out)
 
 
@@ -134,7 +131,15 @@ def apply_hubness(S: SimilarityMatrix, h: HubnessVector) -> SimilarityMatrix:
     """Add a per-target compensation to every row of S."""
     if h.values.shape[0] != S.cols:
         raise LengthMismatch(f"hubness vector length {h.values.shape[0]} vs {S.cols} columns")
-    return S._adopt_values(S.values + h.values[None, :])
+    return S._adopt_values(_plus_columns(S.values, h.values))
+
+
+def _plus_columns(V: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``V + h`` with ``h[j]`` added to column j, in float64, in the row
+    blocks of a normalizer pass."""
+    out = np.empty(V.shape)
+    core._in_row_blocks(V.shape[0], core._pass_rows(V.shape[1]), lambda r: np.add(V[r], h, out=out[r]))
+    return out
 
 
 def dis_subset(S_bank_targets: SimilarityMatrix, cfg: DISConfig = DISConfig()) -> np.ndarray:
@@ -161,9 +166,9 @@ def dynamic_inverted_softmax(
     therefore live on different scales inside one row; that is how the
     formula is defined and it is applied as such.
     """
-    h = is_hubness(S_bank_targets, tau).values
     if S.cols != S_bank_targets.cols:
         raise ColMismatch(f"{S.cols} target columns vs {S_bank_targets.cols} bank columns")
+    h = is_hubness(S_bank_targets, tau).values
     mask = dis_subset(S_bank_targets, cfg)
     # exp((S + h)/tau) = exp(S/tau) / colsum(exp(S_bank/tau)).  The query
     # scores are not part of the bank denominator, so the ratio may exceed 1;

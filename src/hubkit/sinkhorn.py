@@ -10,12 +10,11 @@ Balancing runs in the scaling domain with log-domain absorption (Schmitzer
 exceed 1, so the e^100 scale of ``exp(S / tau)`` at tau = 0.01 is never
 formed; sums that underflow are redone as exact log-sum-exps.  The row
 update is one BLAS mat-vec ``K @ w``.  The kernel build and the plan run in
-row blocks of at least 256 rows and 2^20 values on the process's block pool
-(:func:`core._run_blocks`), and the column update of a matrix of more than
-one block in column slabs, one per group: each column adds its rows in one
-order whatever the slabs, so every result is the same for any block size
-and thread count.  The plan is materialized only by :func:`sinkhorn`, once,
-at the end, in the kernel's buffer.
+the row blocks of a normalizer pass, and the column update in its column
+slabs (:func:`core._in_row_blocks`, :func:`core._in_column_slabs`): each
+column adds its rows in one order whatever the slabs, so every result is
+the same for any block size and thread count.  The plan is materialized
+only by :func:`sinkhorn`, once, at the end, in the kernel's buffer.
 
 Ranking use: per row, ``pi`` is a monotone transform of ``S + g``, so adding
 the column potential to the similarity matrix reproduces the plan's ranking
@@ -36,7 +35,7 @@ from .errors import (
     ShapeMismatch,
     ZeroMarginalEntry,
 )
-from .scaling import HubnessVector, apply_hubness
+from .scaling import HubnessVector, _plus_columns, apply_hubness
 
 
 @dataclass(frozen=True)
@@ -151,31 +150,6 @@ def _check_shapes(S: SimilarityMatrix, marg: Marginals) -> None:
         raise ShapeMismatch(f"column marginal length {marg.b.shape[0]} vs {S.cols} columns")
 
 
-#: Least rows per block of every m x n pass but the row mat-vec; a block
-#: also holds at least ``core._PASS_BLOCK_VALUES`` values.
-_BLOCK_ROWS = 256
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of an n-column pass.  Set by the shape alone, so the
-    blocks, and the order in which their column partials add, do not depend
-    on the thread count; a matrix of one block never reaches the pool."""
-    return max(_BLOCK_ROWS, core._PASS_BLOCK_VALUES // n)
-
-
-def _block_count(shape: tuple) -> int:
-    return -(-shape[0] // _block_rows(shape[1]))
-
-
-def _in_row_blocks(shape: tuple, work) -> None:
-    """Call ``work(k, rows)`` for the k-th block ``rows`` (a slice) of the
-    row blocks of an m x n pass, on up to ``HUBKIT_THREADS`` block groups of
-    the pool."""
-    rows = _block_rows(shape[1])
-    core._run_blocks(lambda lo: work(lo // rows, slice(lo, lo + rows)),
-                     range(0, shape[0], rows), core._ranking_threads())
-
-
 #: A scaling whose log leaves [-_ABSORB, _ABSORB] is absorbed into the kernel.
 _ABSORB = 200.0
 #: Kernel entries that underflow each err by under ``tiny * w_j``, so a sum
@@ -194,21 +168,11 @@ def _gather(blocks: tuple, lost: np.ndarray, on_rows: bool) -> np.ndarray:
 
 
 def _column_sums(K: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w @ K`` by einsum, which adds each column's rows in row order.  A
-    matrix of more than one row block is split into column slabs, one per
-    group of the block pool; every slab holds at least two columns (einsum
-    sums a lone column in another order), so the sums are the bits of one
-    einsum over K whatever the slabs."""
-    n = K.shape[1]
-    s = np.empty(n)
-    slabs = max(1, min(core._ranking_threads(), n // 2)) if _block_count(K.shape) > 1 else 1
-    edges = [n * k // slabs for k in range(slabs + 1)]
-
-    def slab(k):
-        cols = slice(edges[k], edges[k + 1])
-        np.einsum("ij,i->j", K[:, cols], w, out=s[cols])
-
-    core._run_blocks(slab, range(slabs), slabs)
+    """``w @ K`` by einsum, which adds each column's rows in row order, in
+    column slabs (:func:`core._in_column_slabs`): the sums are the bits of
+    one einsum over K whatever the slabs."""
+    s = np.empty(K.shape[1])
+    core._in_column_slabs(K.shape, lambda c: np.einsum("ij,i->j", K[:, c], w, out=s[c]))
     return s
 
 
@@ -237,8 +201,9 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     F = np.zeros(m)
     G = -np.concatenate([B.max(axis=0) for B in blocks], dtype=np.float64) if a is None else np.zeros(n)
     K = np.empty((m, n)) if kernel is None else kernel
+    block_rows = core._pass_rows(n)
 
-    def build(k, r, row_maxima=False):
+    def build(r, row_maxima=False):
         if row_maxima:
             F[r] = -np.maximum.reduce([B[r].max(axis=1) for B in blocks])
         Kr, lo = K[r], 0
@@ -252,7 +217,7 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
 
     def absorb(f, g):
         F[:], G[:] = f, g
-        _in_row_blocks(K.shape, build)
+        core._in_row_blocks(m, block_rows, build)
 
     def update(on_rows, other):
         anchor, other_anchor, log_marg = (F, G, log_a) if on_rows else (G, F, log_b)
@@ -272,7 +237,7 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
     def rows(g):
         return np.zeros(m) if a is None else update(True, g)
 
-    _in_row_blocks(K.shape, lambda k, r: build(k, r, row_maxima=a is not None))
+    core._in_row_blocks(m, block_rows, lambda r: build(r, row_maxima=a is not None))
     f_next = rows(np.zeros(n))
     converged = cfg.tol <= 0.0
     for sweep in range(cfg.max_iters):
@@ -284,12 +249,6 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
             converged = True
             break
     return f, g, sweep + 1, residual, converged
-
-
-def _balanced_g(blocks: tuple, cfg: SinkhornConfig) -> np.ndarray:
-    """Column potential of the balancing of the column blocks under uniform marginals."""
-    m, n = blocks[0].shape[0], sum(B.shape[1] for B in blocks)
-    return _sinkhorn_duals(blocks, np.full(m, 1.0 / m), np.full(n, 1.0 / n), cfg)[1]
 
 
 def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = SinkhornConfig()) -> TransportPlan:
@@ -306,18 +265,19 @@ def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = Sinkhor
     m, n = V.shape
     pi = np.empty((m, n))
     f, g, iterations, _, converged = _sinkhorn_duals((V,), marg.a, marg.b, cfg, kernel=pi)
-    row_sums, col_partials = np.empty(m), np.empty((_block_count(V.shape), n))
+    block_rows = core._pass_rows(n)
+    row_sums, col_partials = np.empty(m), np.empty((-(-m // block_rows), n))
 
-    def plan(k, r):
+    def plan(r):
         P = pi[r]  # exp((V + f + g) / tau), over the kernel
         np.add(V[r], f[r, None], out=P)
         P += g
         P /= cfg.tau
         np.exp(P, out=P)
         row_sums[r] = P.sum(axis=1)
-        col_partials[k] = P.sum(axis=0)
+        col_partials[r.start // block_rows] = P.sum(axis=0)
 
-    _in_row_blocks(V.shape, plan)
+    core._in_row_blocks(m, block_rows, plan)
     return TransportPlan(
         pi=pi,
         f=f,
@@ -339,10 +299,7 @@ def sn_normalize(S: SimilarityMatrix, cfg: SinkhornConfig = SinkhornConfig()) ->
     :func:`sinkhorn`, whose result reports its sweeps and convergence.
     """
     g = sinkhorn(S, Marginals.uniform(S.rows, S.cols), cfg).g
-    V = S.values
-    out = np.empty(V.shape)
-    _in_row_blocks(V.shape, lambda k, r: np.add(V[r], g, out=out[r]))
-    return S._adopt_values(out)
+    return S._adopt_values(_plus_columns(S.values, g))
 
 
 def estimate_target_hubness(
@@ -352,9 +309,9 @@ def estimate_target_hubness(
 
     Runs the solver with uniform marginals on the bank-vs-target matrix and
     returns the column potential ``g`` in the additive convention (the
-    normalized score is ``S + g``).
+    normalized score is ``S + g``): :func:`dbsn_hubness` with no target bank.
     """
-    return HubnessVector(_balanced_g((S_bank_targets.values,), cfg), temperature=cfg.tau)
+    return dbsn_hubness(S_bank_targets, None, cfg)
 
 
 def dbsn_hubness(
@@ -365,10 +322,9 @@ def dbsn_hubness(
     """Dual-bank per-target compensation: the targets' share of the column
     potential from balancing the query bank against [targets | target bank].
 
-    The two bank matrices are balanced as column blocks of one problem,
-    never stacked, so the kernel is the only buffer that spans both.
-    ``S_bq_tbank=None`` means an empty target bank, which reduces to
-    :func:`estimate_target_hubness`.
+    The two bank matrices are balanced as column blocks of one problem
+    under uniform marginals, never stacked, so the kernel is the only buffer
+    that spans both.  ``S_bq_tbank=None`` means an empty target bank.
     """
     blocks = (S_bq_targets.values,)
     if S_bq_tbank is not None:
@@ -377,7 +333,9 @@ def dbsn_hubness(
                 f"bank similarity rows disagree: {S_bq_targets.rows} vs {S_bq_tbank.rows}"
             )
         blocks += (S_bq_tbank.values,)
-    return HubnessVector(_balanced_g(blocks, cfg)[: S_bq_targets.cols], temperature=cfg.tau)
+    m, n = S_bq_targets.rows, sum(B.shape[1] for B in blocks)
+    g = _sinkhorn_duals(blocks, np.full(m, 1.0 / m), np.full(n, 1.0 / n), cfg)[1]
+    return HubnessVector(g[: S_bq_targets.cols], temperature=cfg.tau)
 
 
 def dbsn(

@@ -509,6 +509,23 @@ class TestExitCodes:
         assert reads == []  # refused from the headers, before any matrix is read
         assert not out.exists()
 
+    def test_bank_row_mismatch_is_refused_from_headers(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(38)
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (5, 6))), tmp_path / "s.sim")
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (4, 6))), tmp_path / "bq_t.sim")
+        write_similarity(SimilarityMatrix(rng.uniform(-1, 1, (3, 7))), tmp_path / "bq_bt.sim")
+        reads = []
+        monkeypatch.setattr(cli.io, "read_similarity", lambda path: reads.append(path))
+        out = tmp_path / "o.sim"
+        assert main(["normalize", "--input", str(tmp_path / "s.sim"), "--out", str(out), "--method", "dbsn",
+                     "--bank-targets-sim", str(tmp_path / "bq_t.sim"),
+                     "--bank-bank-sim", str(tmp_path / "bq_bt.sim")]) == 2
+        err = capsys.readouterr().err
+        assert {"4", "3"} <= set(re.findall(r"\d+", err))
+        assert str(tmp_path / "bq_t.sim") in err and str(tmp_path / "bq_bt.sim") in err
+        assert reads == []  # refused from the headers, before any matrix is read
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", [
         ["--method", "dis", "--bank-targets-sim", "bq_t"],
         ["--method", "dualis", "--bank-targets-sim", "bq_t", "--tbank-targets-sim", "bt_t"],

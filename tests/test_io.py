@@ -291,9 +291,9 @@ class TestGroundTruthFiles:
         with pytest.raises(DataError, match="gt.txt"):
             read_ground_truth(path)
 
-    @pytest.mark.parametrize("line", ["x", "1,", "1,,2", "2.5", "-1", "3,-4"])
+    @pytest.mark.parametrize("line", ["x", "1,", "1,,2", "2.5", "-1", "3,-4", "1_0", "+2", "-0", "\u0663", "\uff15"])
     def test_bad_line_names_line_number(self, tmp_path, line):
         path = tmp_path / "gt.txt"
-        path.write_text(f"0\n\n{line}\n1\n")
+        path.write_text(f"0\n\n{line}\n1\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 3"):
             read_ground_truth(path)

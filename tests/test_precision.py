@@ -8,6 +8,7 @@ returns, or the type of the error it raises.  Inputs mix ties, signed zeros,
 float32 subnormals and magnitudes up to float32's largest value.
 """
 
+import contextlib
 import dataclasses
 import struct
 import tempfile
@@ -109,6 +110,22 @@ def _same(fn, mats: list, *rest, **kwargs):
 _TAUS = st.sampled_from([1.0, 0.1, 0.02, 0.01, 0.001])
 
 
+@contextlib.contextmanager
+def _one_row_blocks(threads):
+    """The normalizers' passes in one-row blocks, so column slabs, on
+    ``threads`` block groups.  Yields the number of blocks (or slabs) each
+    pass ran."""
+    run_blocks, runs = core._run_blocks, []
+
+    def spy(work, starts, groups):
+        runs.append(len(starts))
+        run_blocks(work, starts, groups)
+
+    with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(core, "_PASS_BLOCK_ROWS", 1), \
+            mock.patch.object(core, "_ranking_threads", lambda: threads), mock.patch.object(core, "_run_blocks", spy):
+        yield runs
+
+
 class TestRanking:
     @given(V=_matrix(max_side=12), data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -138,23 +155,28 @@ class TestScaling:
         _same(dual_inverted_softmax, [V, Bq, Bt], dual)
         _same(dual_is_compensations, [Bq, Bt], dual)
 
-    @given(cols=st.integers(4, 12), tau=_TAUS, threads=st.integers(2, 6), data=st.data())
+    @given(rows=st.integers(2, 12), cols=st.integers(4, 12), tau=_TAUS, threads=st.integers(2, 6), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_inverted_softmax_in_column_slabs(self, cols, tau, threads, data):
-        # 2 to 6 slabs whatever the size, each divided in float64
-        V = data.draw(_matrix(cols=cols, max_side=12))
-        with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(
-            core, "_ranking_threads", lambda: threads
-        ):
+    def test_inverted_softmax_in_column_slabs(self, rows, cols, tau, threads, data):
+        # one-row blocks, so 2 to 6 slabs whatever the size, each divided in float64
+        V = data.draw(_matrix(rows=rows, cols=cols))
+        with _one_row_blocks(threads) as runs:
             _same(inverted_softmax, [V], tau)
+        assert runs == [min(threads, cols // 2)] * 2
 
-    @given(V=_matrix(), B=_matrix(), tau=_TAUS)
+    @given(V=_matrix(), B=_matrix(), tau=_TAUS, threads=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_apply_hubness(self, V, B, tau):
+    def test_apply_hubness(self, V, B, tau, threads):
         h = is_hubness(SimilarityMatrix(B.astype(np.float64)), tau)
         if h.values.size == V.shape[1]:
             _same(apply_hubness, [V], h)
         _same(lambda S: apply_hubness(S, is_hubness(S, tau)), [V])
+        # in one-row blocks, still the float64 widening plus h
+        h = is_hubness(SimilarityMatrix(V.astype(np.float64)), tau)
+        with _one_row_blocks(threads) as runs:
+            out = apply_hubness(SimilarityMatrix(V), h).values
+        assert runs == [V.shape[0]]
+        assert out.tobytes() == (V.astype(np.float64) + h.values).tobytes()
 
 
 class TestSinkhorn:

@@ -1,5 +1,6 @@
 """Inverted softmax, its additive form, and the bank-based variants."""
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -119,11 +120,18 @@ class TestInvertedSoftmaxEqualsScipy:
     )
     @settings(max_examples=80, deadline=None)
     def test_tie_heavy_in_column_slabs(self, V, tau, threads):
-        # one slab per group whatever the size: 2 to 8 slabs of 2 or more columns
-        with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(
-            core, "_ranking_threads", lambda: threads
-        ):
+        # one-row blocks, so one slab per group whatever the size: 2 to 8
+        # slabs of 2 or more columns
+        run_blocks, slabs = core._run_blocks, []
+
+        def spy(work, starts, groups):
+            slabs.append(len(starts))
+            run_blocks(work, starts, groups)
+
+        with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(core, "_PASS_BLOCK_ROWS", 1), \
+                mock.patch.object(core, "_ranking_threads", lambda: threads), mock.patch.object(core, "_run_blocks", spy):
             out = inverted_softmax(SimilarityMatrix(V), tau)
+        assert slabs == [min(threads, V.shape[1] // 2)]
         assert np.array_equal(out.values, softmax(V / tau, axis=0))
 
     @pytest.mark.parametrize("n", [3500, 4001])
@@ -336,10 +344,13 @@ class TestDynamicInvertedSoftmax:
         # unselected columns pass through untouched
         np.testing.assert_array_equal(out.values[:, ~mask], S.values[:, ~mask])
 
-    def test_column_count_mismatch(self):
+    def test_column_count_mismatch(self, monkeypatch):
         rng = np.random.default_rng(15)
+        fits = []
+        monkeypatch.setattr(sys.modules["hubkit.scaling"], "is_hubness", lambda *args: fits.append(args))
         with pytest.raises(ColMismatch):
             dynamic_inverted_softmax(_rand_sim(rng, 4, 5), _rand_sim(rng, 3, 6))
+        assert fits == []  # refused before the bank is fitted
 
 
 class TestDualInvertedSoftmax:

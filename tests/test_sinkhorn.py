@@ -14,6 +14,8 @@ from scipy.special import logsumexp
 from hubkit import (
     ColMismatch,
     DataError,
+    GroundTruth,
+    HubnessVector,
     Marginals,
     NonPositiveTau,
     RowMismatch,
@@ -26,15 +28,17 @@ from hubkit import (
     dbsn,
     dbsn_hubness,
     estimate_target_hubness,
+    evaluate,
     hn,
     inverted_softmax,
     marginal_violation,
     plan_entropy,
     row_argsort_desc,
+    row_topk_desc,
     sinkhorn,
     sn_normalize,
 )
-from hubkit import core
+from hubkit import core, retrieval
 from hubkit.sinkhorn import _gather, _sinkhorn_duals
 
 _SK = sys.modules["hubkit.sinkhorn"]
@@ -45,12 +49,19 @@ _SMALL_BLOCKS = 3
 
 @contextlib.contextmanager
 def _row_blocks(rows, threads=3):
-    """The Sinkhorn passes in blocks of ``rows`` rows whatever the width, on
-    ``threads`` block groups; a context manager, not a fixture, so
-    hypothesis tests can use it."""
-    with mock.patch.object(_SK, "_BLOCK_ROWS", rows), mock.patch.object(core, "_PASS_BLOCK_VALUES", 0), \
-            mock.patch.object(core, "_ranking_threads", lambda: threads):
-        yield
+    """The normalizers' passes in blocks of ``rows`` rows whatever the width,
+    on ``threads`` block groups; a context manager, not a fixture, so
+    hypothesis tests can use it.  Yields the number of blocks (or slabs)
+    each pass ran, so a test can check that it crossed a block edge."""
+    run_blocks, runs = core._run_blocks, []
+
+    def spy(work, starts, groups):
+        runs.append(len(starts))
+        run_blocks(work, starts, groups)
+
+    with mock.patch.object(core, "_PASS_BLOCK_ROWS", rows), mock.patch.object(core, "_PASS_BLOCK_VALUES", 0), \
+            mock.patch.object(core, "_ranking_threads", lambda: threads), mock.patch.object(core, "_run_blocks", spy):
+        yield runs
 
 
 def _naive_sinkhorn(V, a, b, tau, sweeps):
@@ -395,13 +406,16 @@ def _assert_ranks_like(out, ref, V):
 
 
 def _normalizer_outputs(V):
-    """Every array that the Sinkhorn fit, the plan, SN and IS return for V."""
+    """Every array that the Sinkhorn fit, the plan, SN, IS and applying a
+    hubness vector (to float64 and float32 scores) return for V."""
     S, cfg = SimilarityMatrix(V), SinkhornConfig(tau=0.01, max_iters=10)
     m, n = V.shape
     f, g, *rest = _sinkhorn_duals((V,), np.full(m, 1 / m), np.full(n, 1 / n), cfg)
     plan = sinkhorn(S, Marginals.uniform(m, n), cfg)
+    h = HubnessVector(g, temperature=cfg.tau)
     outputs = [f, g, np.array(rest), plan.pi, plan.f, plan.g, np.array(plan.marginal_violation),
-               sn_normalize(S, cfg).values, inverted_softmax(S, 0.02).values]
+               sn_normalize(S, cfg).values, inverted_softmax(S, 0.02).values, apply_hubness(S, h).values,
+               apply_hubness(SimilarityMatrix(V.astype(np.float32)), h).values]
     return [x.tobytes() for x in outputs]
 
 
@@ -410,19 +424,23 @@ class TestBlockPool:
     softmax in column slabs) on the process's block pool."""
 
     def test_outputs_do_not_depend_on_the_thread_count(self, monkeypatch):
-        # three row blocks and up to four slabs, duplicated columns; the
-        # blocks write disjoint slices of shared buffers, so switch often
+        # three row blocks and up to four slabs, duplicated columns, and
+        # four ranking and counting blocks; the blocks write disjoint slices
+        # of shared buffers, so switch often
         monkeypatch.setattr(core, "_PASS_BLOCK_VALUES", 1 << 16)
+        monkeypatch.setattr(retrieval, "_COUNT_BLOCK_VALUES", 1 << 16)
         rng = np.random.default_rng(47)
         V = rng.uniform(-1, 1, (700, 300))
         V[:, 200:] = V[:, rng.integers(200, size=100)]
+        S, gt = SimilarityMatrix(V), GroundTruth.from_indices(rng.integers(300, size=700))
         outputs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for threads in (1, 2, 8):
                 monkeypatch.setattr(core, "_ranking_threads", lambda: threads)
-                outputs.append(_normalizer_outputs(V))
+                outputs.append(_normalizer_outputs(V) + [row_topk_desc(S, 10).order.tobytes(),
+                                                         evaluate(S, gt, [1, 5, 10])])
         finally:
             sys.setswitchinterval(interval)
         assert outputs[0] == outputs[1] == outputs[2]
@@ -440,7 +458,7 @@ class TestBlockPool:
         rng = np.random.default_rng(48)
         # at most 2^20 values or 256 rows: one block, and one slab
         _normalizer_outputs(rng.uniform(-1, 1, (1000, 1000)))
-        _normalizer_outputs(rng.uniform(-1, 1, (_SK._BLOCK_ROWS, 4000)))
+        _normalizer_outputs(rng.uniform(-1, 1, (core._PASS_BLOCK_ROWS, 4000)))
         assert submitted == []
         S = SimilarityMatrix(rng.uniform(-1, 1, (1100, 1000)))  # two blocks of 1048 rows
         sn_normalize(S)
@@ -461,8 +479,9 @@ class TestScalingDomainMatchesLogDomain:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_duals_plan_and_rankings_across_row_blocks(self, data):
-        with _row_blocks(_SMALL_BLOCKS):
-            self._duals_plan_and_rankings(data)
+        with _row_blocks(_SMALL_BLOCKS) as runs:
+            m = self._duals_plan_and_rankings(data)
+        assert m <= _SMALL_BLOCKS or max(runs) >= 2
 
     def _duals_plan_and_rankings(self, data):
         V, cfg = _reference_inputs(data)
@@ -488,6 +507,7 @@ class TestScalingDomainMatchesLogDomain:
         # ties across the row and only rounding orders it
         if not free_rows and V.shape[0] > 1:
             _assert_ranks_like(sn_normalize(SimilarityMatrix(V), cfg).values, V + g_ref[None, :], V)
+        return V.shape[0]
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -497,8 +517,9 @@ class TestScalingDomainMatchesLogDomain:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_dbsn_rankings_across_row_blocks(self, data):
-        with _row_blocks(_SMALL_BLOCKS):
-            self._dbsn_rankings(data)
+        with _row_blocks(_SMALL_BLOCKS) as runs:
+            m = self._dbsn_rankings(data)
+        assert m <= _SMALL_BLOCKS or max(runs) >= 2
 
     def _dbsn_rankings(self, data):
         V, cfg = _reference_inputs(data, min_rows=2)
@@ -511,6 +532,7 @@ class TestScalingDomainMatchesLogDomain:
         _, g_ref, _, _ = _log_domain_reference(V, marg.a, marg.b, cfg.tau, cfg.max_iters, cfg.tol)
         out = dbsn(S, SimilarityMatrix(V[:, :n]), tbank, cfg)
         _assert_ranks_like(out.values, S.values + g_ref[None, :n], V[:, :n])
+        return V.shape[0]
 
     def test_equal_columns_get_equal_potentials(self):
         # BLAS mat-vecs round the columns of a tail block differently; the
@@ -524,9 +546,9 @@ class TestScalingDomainMatchesLogDomain:
         # three default row blocks, so the column sums run in column slabs
         rng = np.random.default_rng(41)
         V = np.repeat(rng.uniform(-1, 1, (700, 1)), 43, axis=1)
-        with _row_blocks(_SK._BLOCK_ROWS):
+        with _row_blocks(core._PASS_BLOCK_ROWS) as runs:
             _, g, _, _, _ = _sinkhorn_duals((V,), np.full(700, 1 / 700), np.full(43, 1 / 43), SinkhornConfig())
-        assert np.all(g == g[0])
+        assert np.all(g == g[0]) and max(runs) == 3
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -538,8 +560,10 @@ class TestScalingDomainMatchesLogDomain:
         marg = Marginals.column_only(V.shape[1]) if data.draw(st.booleans()) else Marginals.uniform(*V.shape)
         with _row_blocks(V.shape[0]):
             f1, g1, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
-        with _row_blocks(data.draw(st.integers(1, 7)), threads=data.draw(st.integers(1, 4))):
+        rows = data.draw(st.integers(1, 7))
+        with _row_blocks(rows, threads=data.draw(st.integers(1, 4))) as runs:
             f, g, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
+        assert V.shape[0] <= rows or max(runs) >= 2
         bound = 8 * np.finfo(np.float64).eps * max(1.0, float(np.abs(g1).max()))
         assert np.abs(g - g1).max() <= bound
         assert np.array_equal(g, g1) and np.array_equal(f, f1)
@@ -553,22 +577,22 @@ class TestScalingDomainMatchesLogDomain:
         cfg = SinkhornConfig(tau=0.01, max_iters=12)
         marg = Marginals.uniform(23, 9)
         lost_columns, passes = [], []
-        gather, in_row_blocks = _SK._gather, _SK._in_row_blocks
+        gather, in_row_blocks = _SK._gather, core._in_row_blocks
 
         def spy_gather(blocks, lost, on_rows):
             if not on_rows:
                 lost_columns.extend(lost.tolist())
             return gather(blocks, lost, on_rows)
 
-        def spy_blocks(shape, work):
+        def spy_blocks(m, rows, work):
             passes.append(work.__name__)
-            in_row_blocks(shape, work)
+            in_row_blocks(m, rows, work)
 
         monkeypatch.setattr(_SK, "_gather", spy_gather)
-        monkeypatch.setattr(_SK, "_in_row_blocks", spy_blocks)
-        with _row_blocks(5):
+        monkeypatch.setattr(core, "_in_row_blocks", spy_blocks)
+        with _row_blocks(5) as runs:
             f, g, *_ = _sinkhorn_duals((V,), marg.a, marg.b, cfg)
-        assert 2 in lost_columns and "build" in passes  # absorb passes build itself
+        assert 2 in lost_columns and "build" in passes and max(runs) == 5  # absorb passes build itself
         f_ref, g_ref, _, _ = _log_domain_reference(V, marg.a, marg.b, cfg.tau, cfg.max_iters, cfg.tol)
         assert np.all(np.abs(g - g_ref) <= 1e-9 * np.maximum(1.0, np.abs(g_ref)))
         assert np.all(np.abs(f - f_ref) <= 1e-9 * np.maximum(1.0, np.abs(f_ref)))
@@ -583,8 +607,9 @@ class TestScalingDomainMatchesLogDomain:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_dbsn_hubness_equals_the_stacked_fit_across_row_blocks(self, data):
-        with _row_blocks(_SMALL_BLOCKS):
-            self._dbsn_hubness_equals_the_stacked_fit(data)
+        with _row_blocks(_SMALL_BLOCKS) as runs:
+            m = self._dbsn_hubness_equals_the_stacked_fit(data)
+        assert m <= _SMALL_BLOCKS or max(runs) >= 2
 
     def _dbsn_hubness_equals_the_stacked_fit(self, data):
         V, cfg = _reference_inputs(data)
@@ -595,6 +620,7 @@ class TestScalingDomainMatchesLogDomain:
         h = dbsn_hubness(SimilarityMatrix(V[:, :n]), tbank, cfg)
         ref = estimate_target_hubness(SimilarityMatrix(V), cfg).values[:n]
         np.testing.assert_array_equal(h.values.view(np.uint64), ref.view(np.uint64))
+        return V.shape[0]
 
     @pytest.mark.parametrize("column", [1, 6])
     def test_dbsn_hubness_recovers_lost_column_sums_in_either_block(self, monkeypatch, column):
