@@ -109,7 +109,7 @@ def _l2n_plan(S, tau, args):
     if not plan.converged:
         raise errors.DataError(f"l2n did not converge: marginal violation {plan.marginal_violation:.3g} "
                                f"after {plan.iterations_run} sweeps; nothing written")
-    return S.with_values(plan.pi)
+    return S._adopt_values(plan.pi)
 
 
 _BANK = ("bank_targets_sim",)
@@ -149,7 +149,7 @@ _METHODS = {
         (("bank_targets_sim", "bank_bank_sim"), True,
          lambda Bt, Bb, tau, args: sinkhorn.dbsn_hubness(Bt, Bb, _sn_cfg(tau, args))),
     ]),
-    "otn": (None, [((), False, lambda S, tau, args: S.with_values(variants.otn(S, _uniform(S)).pi))]),
+    "otn": (None, [((), False, lambda S, tau, args: S._adopt_values(variants.otn(S, _uniform(S)).pi))]),
     "l2n": (None, [((), False, _l2n_plan)]),
     "hn": (None, [((), False, lambda S, tau, args: variants.hn_normalize(S, literal=args.hn_literal))]),
 }

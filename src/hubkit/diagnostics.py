@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingSet, RankMatrix, _freeze
-from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning
+from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning, _as_index
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,12 @@ class EmdConfig:
     ground_cost: str = "euclidean"
 
     def __post_init__(self):
-        if self.subsample < 1:
+        if _as_index("subsample", self.subsample) < 1:
             raise DataError(f"subsample must be >= 1, got {self.subsample}")
-        if self.repeats < 1:
+        if _as_index("repeats", self.repeats) < 1:
             raise DataError(f"repeats must be >= 1, got {self.repeats}")
+        if _as_index("seed", self.seed) < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.ground_cost not in ("euclidean", "one_minus_cosine"):
             raise DataError(f"unknown ground cost {self.ground_cost!r}")
 

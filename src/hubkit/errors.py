@@ -5,6 +5,8 @@ file-format problems raise subclasses of ``FileFormatError``.  The CLI maps
 both families to exit code 2.
 """
 
+import operator
+
 
 class HubkitError(Exception):
     """Base class for all hubkit errors."""
@@ -78,6 +80,14 @@ class IndexOutOfRange(DataError):
 
 class EmptyPlan(DataError):
     """A transport plan with zero entries has no sparsity."""
+
+
+def _as_index(name: str, value) -> int:
+    """``value`` as an int if it is an integer (Python or numpy), else DataError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 class FileFormatError(HubkitError, IOError):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import core
 from .core import RankMatrix, SimilarityMatrix
-from .errors import DataError, IndexOutOfRange, ShapeMismatch
+from .errors import DataError, IndexOutOfRange, ShapeMismatch, _as_index
 
 #: Largest target index a ground truth can hold: its pairs are indexed in int64.
 _MAX_INDEX = np.iinfo(np.int64).max
@@ -29,7 +29,7 @@ class GroundTruth:
     pairs: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        pairs = tuple(frozenset(int(j) for j in p) for p in self.pairs)
+        pairs = tuple(frozenset(_as_index(f"query {i}'s target", j) for j in p) for i, p in enumerate(self.pairs))
         if not pairs:
             raise DataError("ground truth must cover at least one query")
         for i, p in enumerate(pairs):
@@ -47,7 +47,7 @@ class GroundTruth:
 
     @classmethod
     def from_indices(cls, indices) -> "GroundTruth":
-        return cls(tuple(frozenset((int(i),)) for i in indices))
+        return cls(tuple((i,) for i in indices))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -118,32 +118,29 @@ _COUNT_BLOCK_VALUES = 1 << 18
 
 
 def _count_best_ranks(V: np.ndarray, gt: GroundTruth) -> np.ndarray:
-    """:func:`best_rank` of the descending, index-tie-broken order of V's
-    rows, found by counting instead of sorting.
-
-    The rank of target j in row i is 1 + #(scores above V[i, j]) + #(scores
-    equal to it at a column below j).  Multi-target ground truth is handled
-    as flattened (row, target) pairs, minimised per row.
-    """
+    """:func:`best_rank` of V's descending, index-tie-broken row order, by
+    counting: the rank of the correct target a row orders first (top score
+    s, lowest column c scoring s) is 1 + #(scores above s) + #(scores equal
+    to s at a column below c), one count per query."""
     m, n = V.shape
     pair_rows, cols, starts = _truth_pairs(gt, m, n)
-    ranks = np.empty(cols.size, dtype=np.int64)
+    scores = V[pair_rows, cols]
+    top = np.maximum.reduceat(scores, starts[:-1])
+    first = np.minimum.reduceat(np.where(scores == top[pair_rows], cols, n), starts[:-1])
+    ranks = np.empty(m, dtype=np.int64)
 
     def count(rows):
-        plo, phi = starts[rows.start], starts[rows.stop]
-        r, c = pair_rows[plo:phi], cols[plo:phi]
-        B = V[rows] if phi - plo == rows.stop - rows.start else V[r]
-        s = V[r, c][:, None]
+        B, s = V[rows], top[rows, None]
         above = np.count_nonzero(B > s, axis=1)
         equal = B == s
         tied = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)
         if tied.size:
-            above[tied] += np.count_nonzero(equal[tied] & (np.arange(n) < c[tied, None]), axis=1)
-        ranks[plo:phi] = above + 1
+            above[tied] += np.count_nonzero(equal[tied] & (np.arange(n) < first[rows][tied, None]), axis=1)
+        ranks[rows] = above + 1
 
     # the blocks write disjoint slices of ranks
     core._in_row_blocks(m, max(1, _COUNT_BLOCK_VALUES // n), count)
-    return np.minimum.reduceat(ranks, starts[:-1])
+    return ranks
 
 
 def evaluate(
@@ -156,9 +153,10 @@ def evaluate(
 ) -> RetrievalReport:
     """R@K for each K, plus median and mean best rank.
 
-    Best ranks are those :func:`best_rank` reads off :func:`row_argsort_desc`,
-    counted without sorting.  The median for even query counts is the lower
-    median, so the reported MdR is always an attained rank.
+    A query's best rank is that of the correct target its row orders first,
+    as :func:`best_rank` reads it off :func:`row_argsort_desc`, counted
+    without sorting.  The median for even query counts is the lower median,
+    so the reported MdR is always an attained rank.
     """
     if not Ks:
         raise DataError("Ks must be nonempty")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core
 from .core import SimilarityMatrix, _freeze, row_topk_desc
-from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, NonPositiveTau
+from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, NonPositiveTau, _as_index
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class DISConfig:
     k: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
+        if _as_index("k", self.k) < 1:
             raise KOutOfRange(self.k, self.k)
 
 

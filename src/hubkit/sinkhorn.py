@@ -34,6 +34,7 @@ from .errors import (
     RowMismatch,
     ShapeMismatch,
     ZeroMarginalEntry,
+    _as_index,
 )
 from .scaling import HubnessVector, _plus_columns, apply_hubness
 
@@ -92,7 +93,7 @@ class SinkhornConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < np.inf:
             raise NonPositiveTau(self.tau)
-        if self.max_iters < 1:
+        if _as_index("max_iters", self.max_iters) < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol >= 0:
             raise DataError(f"tol must be >= 0, got {self.tol}")

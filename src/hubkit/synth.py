@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingSet, Role
-from .errors import DataError
+from .errors import DataError, _as_index
 from .retrieval import GroundTruth
 
 _STREAM_DIRECTION = 0
@@ -51,8 +51,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.n_pairs < 1:
+        if _as_index("dim", self.dim) < 1 or _as_index("n_pairs", self.n_pairs) < 1:
             raise DataError("dim and n_pairs must be positive")
+        if _as_index("seed", self.seed) < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.noise_sigma < 0 or self.gap_magnitude < 0 or self.bank_shift < 0:
             raise DataError("noise_sigma, gap_magnitude, bank_shift must be nonnegative")
         if not 0.0 <= self.hub_fraction <= 1.0:

@@ -165,7 +165,7 @@ def hn_normalize(S: SimilarityMatrix, literal: bool = False) -> SimilarityMatrix
     """
     plan = hn(S)
     if literal:
-        return S.with_values(plan.pi)
+        return S._adopt_values(plan.pi)
     span = float(S.values.max()) - float(S.values.min())
     return S._adopt_values(S.values + (span + 1.0) * plan.pi)
 

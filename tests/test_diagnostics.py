@@ -197,3 +197,12 @@ class TestEmd:
             EmdConfig(subsample=0)
         with pytest.raises(DataError):
             EmdConfig(ground_cost="manhattan")
+
+    @pytest.mark.parametrize(
+        "bad", [{"subsample": 2.5}, {"repeats": 2.0}, {"seed": 0.5}, {"seed": -1}]
+    )
+    def test_non_integer_count_or_negative_seed_is_refused(self, bad):
+        (name,) = bad
+        with pytest.raises(DataError, match=name):
+            EmdConfig(**bad)
+        EmdConfig(**{name: np.int64(3)})  # numpy integers pass

@@ -1,6 +1,7 @@
 """Rank-based retrieval metrics against hand cases and a linear-scan oracle."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,25 @@ class TestGroundTruth:
     def test_rejects_negative_index(self):
         with pytest.raises(IndexOutOfRange):
             GroundTruth.from_indices([-1])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GroundTruth(({0}, {1.5})),
+            lambda: GroundTruth(({0}, {"2"})),
+            lambda: GroundTruth.from_indices([0, 2.2]),
+            lambda: GroundTruth.from_indices([0, np.float64(1.0)]),
+        ],
+        ids=["float", "str", "from_indices float", "from_indices numpy float"],
+    )
+    def test_rejects_non_integer_index(self, make):
+        with pytest.raises(DataError, match="query 1's target must be an integer"):
+            make()
+
+    def test_numpy_integers_become_python_ints(self):
+        gt = GroundTruth.from_indices(np.arange(2, dtype=np.int32))
+        assert gt.pairs == (frozenset({0}), frozenset({1}))
+        assert all(type(j) is int for p in gt.pairs for j in p)
 
     def test_rejects_index_beyond_int64(self):
         GroundTruth.from_indices([2**63 - 1])
@@ -202,7 +222,7 @@ TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0])
 def scores_and_truth(draw, multi: bool):
     V = draw(
         hnp.arrays(
-            np.float64,
+            draw(st.sampled_from([np.float64, np.float32])),
             hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30),
             elements=TIE_VALUES,
         )
@@ -270,6 +290,24 @@ class TestEvaluateMatchesSortedRanks:
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             evaluate(SimilarityMatrix(np.eye(3)), GroundTruth.identity(4), Ks=[1])
+
+    def test_five_targets_cost_the_memory_of_one(self):
+        # one count per query: no buffer or gather per (query, target) pair
+        m, n = 1000, 5000
+        S = SimilarityMatrix(np.random.default_rng(58).uniform(-1, 1, (m, n)))
+        one = GroundTruth.identity(m)
+        five = GroundTruth(tuple(frozenset(range(i, n, m)) for i in range(m)))
+
+        def peak(gt):
+            tracemalloc.start()
+            try:
+                evaluate(S, gt, Ks=[1, 5, 10])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        evaluate(S, five, Ks=[1])  # start the block pool outside the trace
+        assert peak(five) <= 2 * peak(one)
 
     @pytest.mark.parametrize(
         "pairs", [({0}, {1}, {3}), ({0}, {1, 7}, {2}), ({0, 2}, {1}, {2, 3})]

@@ -13,6 +13,7 @@ from scipy.special import logsumexp, softmax
 from hubkit import core
 from hubkit import (
     ColMismatch,
+    DataError,
     DISConfig,
     DualISConfig,
     HubnessVector,
@@ -323,6 +324,12 @@ class TestDynamicSubset:
             dis_subset(S, DISConfig(k=4))
         with pytest.raises(KOutOfRange):
             DISConfig(k=0)
+
+    @pytest.mark.parametrize("k", [2.5, 1.0, "1", None])
+    def test_non_integer_k_is_refused(self, k):
+        with pytest.raises(DataError, match="k must be an integer"):
+            DISConfig(k=k)
+        DISConfig(k=np.int64(3))  # numpy integers pass
 
 
 class TestDynamicInvertedSoftmax:

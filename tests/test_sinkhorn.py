@@ -142,6 +142,12 @@ class TestMarginals:
         with pytest.raises(DataError):
             SinkhornConfig(max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 10.0, "10", None])
+    def test_non_integer_max_iters_is_refused(self, max_iters):
+        with pytest.raises(DataError, match="max_iters must be an integer"):
+            SinkhornConfig(max_iters=max_iters)
+        SinkhornConfig(max_iters=np.int64(3))  # numpy integers pass
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_tau_is_refused(self, tau):
         """A NaN or infinite temperature would give an all-NaN plan marked converged."""

@@ -81,6 +81,15 @@ class TestGeneratePaired:
         with pytest.raises(DataError):
             SynthConfig(hub_strength=-0.2)
 
+    @pytest.mark.parametrize(
+        "bad", [{"dim": 2.5}, {"n_pairs": 10.0}, {"n_pairs": "10"}, {"seed": 1.5}, {"seed": -1}]
+    )
+    def test_non_integer_count_or_negative_seed_is_refused(self, bad):
+        (name,) = bad
+        with pytest.raises(DataError, match=name):
+            SynthConfig(**bad)
+        SynthConfig(**{name: np.int64(3)})  # numpy integers pass
+
 
 class TestGenerateBanks:
     def test_bank_queries_live_near_test_queries(self):
