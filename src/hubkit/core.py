@@ -25,7 +25,7 @@ import numpy as np
 
 # The package defines the HUBKIT_THREADS parser before it imports numpy.
 from . import _thread_cap
-from .errors import DimMismatch, KOutOfRange, NonFiniteInput, ShapeMismatch, ZeroVectorRow
+from .errors import DimMismatch, KOutOfRange, NonFiniteInput, ShapeMismatch, ZeroVectorRow, _as_index
 
 
 class Role(Enum):
@@ -398,7 +398,7 @@ def row_topk_desc(S: SimilarityMatrix, k: int) -> RankMatrix:
     Equal to ``row_argsort_desc(S).order[:, :k]``, ties and signed zeros
     included, without sorting whole rows.
     """
-    if not 1 <= k <= S.cols:
+    if not 1 <= _as_index("k", k) <= S.cols:
         raise KOutOfRange(k, S.cols)
     order = np.empty((S.rows, k), dtype=np.int32)
     _in_row_blocks(S.rows, max(1, _SORT_BLOCK_VALUES // S.cols), lambda r: _topk_block(S.values[r], order[r], k))

@@ -31,7 +31,7 @@ class KOccurrence:
         if np.any(counts < 0):
             raise DataError("counts must be nonnegative")
         object.__setattr__(self, "counts", _freeze(counts, dtype=np.int64))
-        if self.k < 1:
+        if _as_index("k", self.k) < 1:
             raise KOutOfRange(self.k, counts.size)
 
 
@@ -68,7 +68,7 @@ def k_occurrence(ranks: RankMatrix, k: int) -> KOccurrence:
     :func:`~hubkit.core.row_topk_desc`); every one of its ``targets`` gets a
     count.
     """
-    if not 1 <= k <= ranks.cols:
+    if not 1 <= _as_index("k", k) <= ranks.cols:
         raise KOutOfRange(k, ranks.cols)
     counts = np.bincount(ranks.order[:, :k].ravel(), minlength=ranks.targets)
     return KOccurrence(k=k, counts=counts)

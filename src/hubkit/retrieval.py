@@ -18,6 +18,15 @@ from .errors import DataError, IndexOutOfRange, ShapeMismatch, _as_index
 _MAX_INDEX = np.iinfo(np.int64).max
 
 
+def _targets(i: int, p) -> frozenset[int]:
+    """Query i's entry as a set of target indices, or DataError naming the query."""
+    try:
+        targets = iter(p)
+    except TypeError:
+        raise DataError(f"query {i}'s targets must be a collection of indices, got {p!r}") from None
+    return frozenset(_as_index(f"query {i}'s target", j) for j in targets)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """For each query, the set of correct target indices.
@@ -29,7 +38,7 @@ class GroundTruth:
     pairs: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        pairs = tuple(frozenset(_as_index(f"query {i}'s target", j) for j in p) for i, p in enumerate(self.pairs))
+        pairs = tuple(_targets(i, p) for i, p in enumerate(self.pairs))
         if not pairs:
             raise DataError("ground truth must cover at least one query")
         for i, p in enumerate(pairs):
@@ -43,7 +52,7 @@ class GroundTruth:
 
     @classmethod
     def identity(cls, m: int) -> "GroundTruth":
-        return cls(tuple(frozenset((i,)) for i in range(m)))
+        return cls(tuple(frozenset((i,)) for i in range(_as_index("m", m))))
 
     @classmethod
     def from_indices(cls, indices) -> "GroundTruth":
@@ -158,12 +167,13 @@ def evaluate(
     without sorting.  The median for even query counts is the lower median,
     so the reported MdR is always an attained rank.
     """
+    Ks = [_as_index("K", k) for k in Ks]
     if not Ks:
         raise DataError("Ks must be nonempty")
     if any(k < 1 or k > S.cols for k in Ks):
         raise DataError(f"each K must lie in 1..{S.cols}, got {Ks}")
     br = _count_best_ranks(S.values, gt)
-    r_at = {int(k): float(100.0 * np.mean(br <= k)) for k in Ks}
+    r_at = {k: float(100.0 * np.mean(br <= k)) for k in Ks}
     mdr = float(np.sort(br)[(br.size - 1) // 2])
     mnr = float(br.mean())
     return RetrievalReport(

@@ -69,10 +69,12 @@ class Marginals:
 
     @classmethod
     def uniform(cls, m: int, n: int) -> "Marginals":
+        m, n = _as_index("m", m), _as_index("n", n)
         return cls(a=np.full(m, 1.0 / m), b=np.full(n, 1.0 / n))
 
     @classmethod
     def column_only(cls, n: int) -> "Marginals":
+        n = _as_index("n", n)
         return cls(a=None, b=np.full(n, 1.0 / n))
 
 
@@ -130,25 +132,22 @@ class TransportPlan:
                 object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def _violation(pi: np.ndarray, a: np.ndarray | None, b: np.ndarray) -> float:
-    """L1 distance of the column sums from b plus, unless a is None, of the row sums from a."""
-    return _sums_violation(pi.sum(axis=0), None if a is None else pi.sum(axis=1), a, b)
-
-
-def _sums_violation(col_sums: np.ndarray, row_sums: np.ndarray | None, a: np.ndarray | None,
-                    b: np.ndarray) -> float:
-    """:func:`_violation` from a plan's column sums and row sums."""
+def _violation(col_sums: np.ndarray, row_sums: np.ndarray | None, a: np.ndarray | None,
+               b: np.ndarray) -> float:
+    """L1 distance of a plan's column sums from b plus, unless a is None, of its row sums from a."""
     violation = float(np.abs(col_sums - b).sum())
     if a is not None:
         violation += float(np.abs(row_sums - a).sum())
     return violation
 
 
-def _check_shapes(S: SimilarityMatrix, marg: Marginals) -> None:
-    if marg.a is not None and marg.a.shape[0] != S.rows:
-        raise ShapeMismatch(f"row marginal length {marg.a.shape[0]} vs {S.rows} rows")
-    if marg.b.shape[0] != S.cols:
-        raise ShapeMismatch(f"column marginal length {marg.b.shape[0]} vs {S.cols} columns")
+def _check_shapes(shape: tuple[int, int], marg: Marginals) -> None:
+    """ShapeMismatch unless ``marg`` fits an m x n matrix."""
+    m, n = shape
+    if marg.a is not None and marg.a.shape[0] != m:
+        raise ShapeMismatch(f"row marginal length {marg.a.shape[0]} vs {m} rows")
+    if marg.b.shape[0] != n:
+        raise ShapeMismatch(f"column marginal length {marg.b.shape[0]} vs {n} columns")
 
 
 #: A scaling whose log leaves [-_ABSORB, _ABSORB] is absorbed into the kernel.
@@ -261,7 +260,7 @@ def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = Sinkhor
     returned plan meets the column marginal to machine precision and the
     reported violation is dominated by the row residual.
     """
-    _check_shapes(S, marg)
+    _check_shapes(S.values.shape, marg)
     V = S.values
     m, n = V.shape
     pi = np.empty((m, n))
@@ -285,7 +284,7 @@ def sinkhorn(S: SimilarityMatrix, marg: Marginals, cfg: SinkhornConfig = Sinkhor
         g=g,
         tau=cfg.tau,
         iterations_run=iterations,
-        marginal_violation=_sums_violation(col_partials.sum(axis=0), row_sums, marg.a, marg.b),
+        marginal_violation=_violation(col_partials.sum(axis=0), row_sums, marg.a, marg.b),
         converged=converged,
         _adopt=True,
     )
@@ -296,8 +295,9 @@ def sn_normalize(S: SimilarityMatrix, cfg: SinkhornConfig = SinkhornConfig()) ->
 
     Uses uniform marginals over the matrix's own rows and columns.  The row
     potential shifts all scores of a row equally and cannot change its
-    ranking, so only ``g`` is applied.  The balancing runs through
-    :func:`sinkhorn`, whose result reports its sweeps and convergence.
+    ranking, so only ``g`` is applied.  The balancing goes through
+    :func:`sinkhorn`, which also builds the plan, only to drop it here: the
+    result is ``S + g`` alone, with no report of sweeps or convergence.
     """
     g = sinkhorn(S, Marginals.uniform(S.rows, S.cols), cfg).g
     return S._adopt_values(_plus_columns(S.values, g))
@@ -371,9 +371,5 @@ def plan_entropy(plan: TransportPlan) -> float:
 def marginal_violation(plan: TransportPlan, marg: Marginals) -> float:
     """L1 distance of the plan's row and column sums from (a, b)."""
     pi = plan.pi
-    if marg.b.shape[0] != pi.shape[1] or (marg.a is not None and marg.a.shape[0] != pi.shape[0]):
-        raise ShapeMismatch(
-            f"plan shape {pi.shape} vs marginals "
-            f"({'free' if marg.a is None else marg.a.shape[0]}, {marg.b.shape[0]})"
-        )
-    return _violation(pi, marg.a, marg.b)
+    _check_shapes(pi.shape, marg)
+    return _violation(pi.sum(axis=0), None if marg.a is None else pi.sum(axis=1), marg.a, marg.b)

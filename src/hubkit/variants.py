@@ -10,6 +10,9 @@ Sinkhorn solver, each solved exactly:
   polytope from its smooth dual, by one regularized semismooth Newton loop.
 * ``hn`` solves the one-to-one assignment problem.
 
+``hn`` and ``otn``'s uniform square case share one assignment
+(:func:`_assignment`), at mass 1 and 1/n on each assigned pair.
+
 All three land on (or near) a vertex of the polytope, so their plans are
 overwhelmingly sparse, in contrast to the strictly positive entropic plan.
 """
@@ -17,8 +20,19 @@ overwhelmingly sparse, in contrast to the strictly positive entropic plan.
 import numpy as np
 
 from .core import SimilarityMatrix
-from .errors import DataError, EmptyPlan
+from .errors import DataError, EmptyPlan, _as_index
 from .sinkhorn import Marginals, TransportPlan, _check_shapes, _violation
+
+
+def _assignment(V: np.ndarray, mass: float) -> np.ndarray:
+    """The maximum-score one-to-one assignment of V's rows to its columns as
+    a dense plan holding ``mass`` on each assigned pair."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(V, maximize=True)
+    pi = np.zeros(V.shape)
+    pi[rows, cols] = mass
+    return pi
 
 
 def _plan(pi: np.ndarray, iterations: int, violation: float, converged: bool = True) -> TransportPlan:
@@ -40,17 +54,12 @@ def otn(S: SimilarityMatrix, marg: Marginals) -> TransportPlan:
     """
     if marg.a is None:
         raise DataError("otn requires both marginals")
-    _check_shapes(S, marg)
+    _check_shapes(S.values.shape, marg)
     V = S.values
     m, n = V.shape
     a, b = marg.a, marg.b
     if m == n and np.all(a == a[0]) and np.all(b == a[0]):
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(V, maximize=True)
-        pi = np.zeros((m, n))
-        pi[rows, cols] = a[0]
-        iterations = 1
+        pi, iterations = _assignment(V, a[0]), 1
     else:
         from scipy import sparse
         from scipy.optimize import linprog
@@ -63,7 +72,7 @@ def otn(S: SimilarityMatrix, marg: Marginals) -> TransportPlan:
             raise DataError(f"otn linear program failed: {res.message}")
         pi = np.maximum(res.x.reshape(m, n), 0.0)
         iterations = int(res.nit)
-    return _plan(pi, iterations, _violation(pi, a, b))
+    return _plan(pi, iterations, _violation(pi.sum(axis=0), pi.sum(axis=1), a, b))
 
 
 def l2n(
@@ -92,11 +101,11 @@ def l2n(
         raise DataError("l2n requires both marginals")
     if not 0.0 < coeff < np.inf:
         raise DataError(f"coeff must be finite and > 0, got {coeff}")
-    if max_sweeps < 1:
+    if _as_index("max_sweeps", max_sweeps) < 1:
         raise DataError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if not tol >= 0.0:
         raise DataError(f"tol must be >= 0, got {tol}")
-    _check_shapes(S, marg)
+    _check_shapes(S.values.shape, marg)
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
@@ -138,7 +147,7 @@ def l2n(
         w = w + t * d
         (value, r, x), worst = trial, trial_worst
         steps += 1
-    return _plan(x, steps, _violation(x, a, b), bool(worst <= tol))
+    return _plan(x, steps, _violation(x.sum(axis=0), x.sum(axis=1), a, b), bool(worst <= tol))
 
 
 def hn(S: SimilarityMatrix) -> TransportPlan:
@@ -147,12 +156,7 @@ def hn(S: SimilarityMatrix) -> TransportPlan:
     Assigns min(m, n) pairs; with more queries than targets the surplus
     query rows are all-zero.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(S.values, maximize=True)
-    pi = np.zeros(S.values.shape)
-    pi[rows, cols] = 1.0
-    return _plan(pi, 1, 0.0)
+    return _plan(_assignment(S.values, 1.0), 1, 0.0)
 
 
 def hn_normalize(S: SimilarityMatrix, literal: bool = False) -> SimilarityMatrix:

@@ -31,7 +31,7 @@ from hubkit import (
     write_embeddings,
     write_similarity,
 )
-from hubkit.errors import KOutOfRange, ShapeMismatch
+from hubkit.errors import DataError, KOutOfRange, ShapeMismatch
 
 
 class TestL2Normalize:
@@ -402,6 +402,13 @@ class TestRowTopkDesc:
         for k in (0, 4):
             with pytest.raises(KOutOfRange):
                 row_topk_desc(S, k)
+
+    @pytest.mark.parametrize("k", [2.5, np.float64(2.0), "2"])
+    def test_non_integer_k_is_refused(self, k):
+        S = SimilarityMatrix(np.zeros((2, 3)))
+        with pytest.raises(DataError, match="k must be an integer"):
+            row_topk_desc(S, k)
+        assert row_topk_desc(S, np.int64(2)).cols == 2
 
 
 class TestContainers:

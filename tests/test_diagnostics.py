@@ -84,6 +84,20 @@ class TestKOccurrence:
         with pytest.raises(DataError):
             KOccurrence(k=1, counts=np.array([1, -1]))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: k_occurrence(_ranks(np.eye(4)), 2.5),
+            lambda: k_occurrence(_ranks(np.eye(4)), np.float64(2.0)),
+            lambda: KOccurrence(k=1.5, counts=np.array([1, 2])),
+            lambda: KOccurrence(k="1", counts=np.array([1, 2])),
+        ],
+        ids=["k_occurrence float", "k_occurrence numpy float", "KOccurrence float", "KOccurrence str"],
+    )
+    def test_non_integer_k_is_refused(self, make):
+        with pytest.raises(DataError, match="k must be an integer"):
+            make()
+
 
 class TestSkewness:
     def test_constant_counts_warn_and_report_zero(self):

@@ -78,6 +78,16 @@ class TestGroundTruth:
         assert gt.pairs == (frozenset({0}), frozenset({1}))
         assert all(type(j) is int for p in gt.pairs for j in p)
 
+    @pytest.mark.parametrize("m", [2.5, np.float64(2.0)])
+    def test_identity_refuses_non_integer_size(self, m):
+        with pytest.raises(DataError, match="m must be an integer"):
+            GroundTruth.identity(m)
+
+    @pytest.mark.parametrize("entry", [2, None, 1.5], ids=["int", "None", "float"])
+    def test_rejects_entry_that_is_not_a_collection(self, entry):
+        with pytest.raises(DataError, match="query 1's targets must be a collection of indices"):
+            GroundTruth(({0}, entry))
+
     def test_rejects_index_beyond_int64(self):
         GroundTruth.from_indices([2**63 - 1])
         with pytest.raises(IndexOutOfRange, match="query 2"):
@@ -213,6 +223,13 @@ class TestEvaluate:
             evaluate(S, GroundTruth.identity(3), Ks=[])
         with pytest.raises(DataError):
             evaluate(S, GroundTruth.identity(3), Ks=[4])
+
+    @pytest.mark.parametrize("Ks", [[1, 1.5], [2.5], [np.float64(2.0)], ["1"]])
+    def test_non_integer_k_is_refused(self, Ks):
+        S = SimilarityMatrix(np.eye(3))
+        with pytest.raises(DataError, match="K must be an integer"):
+            evaluate(S, GroundTruth.identity(3), Ks=Ks)
+        assert list(evaluate(S, GroundTruth.identity(3), Ks=[np.int64(2)]).r_at) == [2]
 
 
 TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0])

@@ -128,6 +128,19 @@ class TestMarginals:
     def test_column_only_leaves_rows_free(self):
         assert Marginals.column_only(5).a is None
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: Marginals.uniform(2.5, 2), "m"),
+            (lambda: Marginals.uniform(2, np.float64(2.0)), "n"),
+            (lambda: Marginals.column_only(1.5), "n"),
+        ],
+        ids=["uniform m", "uniform n", "column_only n"],
+    )
+    def test_non_integer_size_is_refused(self, make, name):
+        with pytest.raises(DataError, match=f"{name} must be an integer"):
+            make()
+
     def test_rejects_zero_entry(self):
         with pytest.raises(ZeroMarginalEntry):
             Marginals(a=np.array([1.0, 0.0]), b=np.array([0.5, 0.5]))
@@ -367,6 +380,14 @@ class TestPlanFunctionals:
         )
         with pytest.raises(ShapeMismatch):
             marginal_violation(plan, Marginals.uniform(3, 2))
+
+    @pytest.mark.parametrize("marg", [Marginals.uniform(2, 3), Marginals.column_only(3)], ids=["both", "column only"])
+    def test_violation_column_shape_check(self, marg):
+        plan = TransportPlan(
+            pi=np.full((2, 2), 0.25), f=None, g=None, tau=0.0, iterations_run=0, marginal_violation=0.0
+        )
+        with pytest.raises(ShapeMismatch, match="column marginal length 3 vs 2 columns"):
+            marginal_violation(plan, marg)
 
 
 def _reference_inputs(data, min_rows=1):

@@ -16,6 +16,7 @@ from hubkit import (
     hn,
     hn_normalize,
     l2n,
+    marginal_violation,
     otn,
     sparsity,
 )
@@ -150,6 +151,22 @@ class TestOtn:
         assert abs(gap) <= 1e-12 + 1e-10 * np.abs(V).max()
         assert plan.marginal_violation <= 1e-12
 
+    @given(
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_uniform_square_plan_is_the_assignment_at_mass_one_over_n(self, n, seed, ties, dtype):
+        """Birkhoff-von Neumann: the optimum is hn's permutation, bit for bit."""
+        rng = np.random.default_rng(seed)
+        V = rng.integers(-2, 3, (n, n)) / 4.0 if ties else rng.uniform(-1, 1, (n, n))
+        S = SimilarityMatrix(V.astype(dtype))
+        plan = otn(S, Marginals.uniform(n, n))
+        np.testing.assert_array_equal(plan.pi, hn(S).pi * (1.0 / n), strict=True)
+        assert plan.marginal_violation == 0.0
+
     def test_beats_product_plan(self):
         rng = np.random.default_rng(35)
         V = rng.uniform(-1, 1, (5, 6))
@@ -283,6 +300,12 @@ class TestL2n:
         with pytest.raises(DataError):
             l2n(S, Marginals.column_only(2))
 
+    @pytest.mark.parametrize("max_sweeps", [2.5, np.float64(3.0), "3"])
+    def test_non_integer_max_sweeps_is_refused(self, max_sweeps):
+        S = SimilarityMatrix(np.zeros((2, 2)) + 0.1)
+        with pytest.raises(DataError, match="max_sweeps must be an integer"):
+            l2n(S, Marginals.uniform(2, 2), max_sweeps=max_sweeps)
+
     @pytest.mark.parametrize("bad", [{"coeff": np.nan}, {"coeff": np.inf}, {"tol": -1.0}, {"tol": np.nan},
                                      {"max_sweeps": 0}])
     def test_refuses_bad_solver_parameters(self, bad):
@@ -291,6 +314,18 @@ class TestL2n:
         S = SimilarityMatrix(np.zeros((2, 2)) + 0.1)
         with pytest.raises(DataError):
             l2n(S, Marginals.uniform(2, 2), **bad)
+
+
+@pytest.mark.parametrize(
+    "solve, shape",
+    [(otn, (6, 6)), (otn, (5, 7)), (l2n, (5, 5)), (l2n, (4, 6))],
+    ids=["otn assignment", "otn linear program", "l2n square", "l2n wide"],
+)
+def test_reported_violation_is_marginal_violation(solve, shape):
+    rng = np.random.default_rng(47)
+    marg = Marginals.uniform(*shape)
+    plan = solve(SimilarityMatrix(rng.uniform(-1, 1, shape)), marg)
+    assert plan.marginal_violation == marginal_violation(plan, marg)
 
 
 class TestHn:
