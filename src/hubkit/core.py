@@ -5,9 +5,13 @@ SIM1 values stay float32; every kernel computes in float64.  A
 precision and stores any other dtype as float64; each kernel widens what it
 reads before any arithmetic, so a float32-stored matrix gives the same bits
 as its float64 widening, and the Sinkhorn solver at temperature 0.01 keeps
-its headroom.  Embeddings are float64.  Arrays stored in the domain types
-are made read-only so every operation stays a pure function of immutable
-inputs.
+its headroom.  Embeddings are float64.
+
+Every domain type takes its array through one intake rule,
+:func:`_freeze`: a wrong rank or an empty array is ShapeMismatch, NaN or
+Inf in a float array is NonFiniteInput, and the stored array is read-only,
+copied only if the caller may still hold it, so every operation stays a
+pure function of immutable inputs.  Each type adds only its own range rule.
 
 Every m x n pass that runs in parts, ranking and evaluation as well as the
 normalizers' passes, is split here into row blocks or column slabs for one
@@ -37,35 +41,41 @@ class Role(Enum):
     TARGET_BANK = "target_bank"
 
 
-def _freeze(arr: np.ndarray, dtype=np.float64, adopt: bool = False) -> np.ndarray:
-    """A read-only, contiguous ``dtype`` array with the contents of ``arr``.
-
-    An array passed in is copied, so writes through another reference cannot
-    reach the frozen one; ``adopt`` takes over an array the library has just
-    computed and holds no other reference to.
-    """
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    if out is arr and not adopt:
-        out = out.copy()
-    out.setflags(write=False)
-    return out
-
-
-def _converted(arr: np.ndarray, source) -> bool:
-    """``arr`` is a new array numpy made from the ndarray ``source`` (a dtype
-    conversion), so no one else holds it and :func:`_freeze` may adopt it."""
-    return isinstance(source, np.ndarray) and arr is not source and arr.base is None
-
-
 #: Values per slice of :func:`_all_finite`; its mask takes one byte a value.
 _FINITE_BLOCK_VALUES = 1 << 16
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """No NaN or infinity in the 2-D ``arr``, checked a slice of rows at a
-    time, so the mask never spans the matrix."""
-    rows = max(1, _FINITE_BLOCK_VALUES // max(1, arr.shape[1]))
+    """No NaN or infinity in ``arr``, checked a slice of its first axis at a
+    time, so the mask never spans a matrix."""
+    rows = max(1, _FINITE_BLOCK_VALUES // max(1, arr[:1].size))
     return all(np.isfinite(arr[lo:lo + rows]).all() for lo in range(0, arr.shape[0], rows))
+
+
+def _freeze(arr, ndim: int | None = None, name: str = "", dtype=np.float64, adopt: bool = False) -> np.ndarray:
+    """A read-only, C-contiguous ``dtype`` array with the contents of ``arr``:
+    the one intake rule of the domain types.
+
+    Given a rank ``ndim``, anything but a nonempty array of that rank is
+    refused with ShapeMismatch, and a float array holding NaN or Inf with
+    NonFiniteInput; ``name`` names the array in the message.  The array is
+    copied while the caller may still hold it: ``arr`` itself, a view of
+    it, or the buffer of any array-like but a list or tuple.  A fresh
+    conversion of an ndarray, list or tuple (a new dtype or layout) is
+    frozen in place, and so is a result the library has just computed and
+    holds no other reference to (``adopt``).
+    """
+    out = np.asarray(arr, dtype=dtype, order="C")
+    if ndim is not None:
+        if out.ndim != ndim or out.size == 0:
+            raise ShapeMismatch(f"{name} must be a nonempty {ndim}-D array, got shape {out.shape}")
+        if out.dtype.kind == "f" and not _all_finite(out):
+            raise NonFiniteInput(f"NaN or Inf in {name}")
+    fresh = out is not arr and out.base is None and isinstance(arr, (np.ndarray, list, tuple))
+    if not (adopt or fresh):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,12 +92,7 @@ class EmbeddingSet:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise NonFiniteInput(f"embedding data must be a nonempty 2-D matrix, got shape {data.shape}")
-        if not _all_finite(data):
-            raise NonFiniteInput("embedding data contains NaN or Inf")
-        object.__setattr__(self, "data", _freeze(data, adopt=_adopt or _converted(data, self.data)))
+        object.__setattr__(self, "data", _freeze(self.data, 2, "embedding data", adopt=_adopt))
 
     @property
     def count(self) -> int:
@@ -115,15 +120,8 @@ class SimilarityMatrix:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        values = np.asarray(self.values)
-        dtype = np.float32 if values.dtype == np.float32 else np.float64
-        values = np.asarray(values, dtype=dtype)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise NonFiniteInput(f"similarity values must be a nonempty 2-D matrix, got shape {values.shape}")
-        if not _all_finite(values):
-            raise NonFiniteInput("similarity values contain NaN or Inf")
-        adopt = _adopt or _converted(values, self.values)
-        object.__setattr__(self, "values", _freeze(values, dtype=dtype, adopt=adopt))
+        dtype = np.float32 if np.asarray(self.values).dtype == np.float32 else np.float64
+        object.__setattr__(self, "values", _freeze(self.values, 2, "similarity values", dtype=dtype, adopt=_adopt))
 
     @property
     def rows(self) -> int:
@@ -166,7 +164,7 @@ class RankMatrix:
     def __post_init__(self, _adopt):
         order = np.asarray(self.order)
         if order.ndim != 2:
-            raise NonFiniteInput(f"rank order must be 2-D, got shape {order.shape}")
+            raise ShapeMismatch(f"rank order must be 2-D, got shape {order.shape}")
         targets = order.shape[1] if self.targets is None else int(self.targets)
         if targets < order.shape[1]:
             raise ShapeMismatch(f"rank rows of {order.shape[1]} columns over {targets} targets")
@@ -195,8 +193,8 @@ def l2_normalize(raw: np.ndarray) -> EmbeddingSet:
     corrupt every similarity they touch.
     """
     data = np.asarray(raw, dtype=np.float64)
-    if data.ndim != 2:
-        raise NonFiniteInput(f"expected a 2-D matrix, got shape {data.shape}")
+    if data.ndim != 2 or data.size == 0:
+        raise ShapeMismatch(f"expected a nonempty 2-D matrix, got shape {data.shape}")
     if not _all_finite(data):
         raise NonFiniteInput("input contains NaN or Inf")
     norms = np.linalg.norm(data, axis=1)

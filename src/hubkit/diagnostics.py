@@ -25,12 +25,10 @@ class KOccurrence:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size < 1:
-            raise DataError(f"counts must be a nonempty vector, got shape {counts.shape}")
+        counts = _freeze(self.counts, 1, "counts", dtype=np.int64)
         if np.any(counts < 0):
             raise DataError("counts must be nonnegative")
-        object.__setattr__(self, "counts", _freeze(counts, dtype=np.int64))
+        object.__setattr__(self, "counts", counts)
         if _as_index("k", self.k) < 1:
             raise KOutOfRange(self.k, counts.size)
 

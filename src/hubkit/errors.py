@@ -17,7 +17,10 @@ class DataError(HubkitError, ValueError):
 
 
 class NonFiniteInput(DataError):
-    """Input contains NaN or Inf where finite values are required."""
+    """Input contains NaN or Inf where finite values are required.
+
+    Raised for NaN or Inf only; a wrong shape is ShapeMismatch.
+    """
 
 
 class ZeroVectorRow(DataError):
@@ -38,7 +41,12 @@ class DimMismatch(DataError):
 
 
 class ShapeMismatch(DataError):
-    """Matrix/vector shapes disagree."""
+    """A shape is refused: the wrong rank, an empty array, or shapes that disagree.
+
+    Every shape refusal raises this class, except a mismatch of one named
+    axis, which has its own (DimMismatch, RowMismatch, ColMismatch,
+    LengthMismatch).
+    """
 
 
 class RowMismatch(DataError):

@@ -18,12 +18,17 @@ from .errors import DataError, IndexOutOfRange, ShapeMismatch, _as_index
 _MAX_INDEX = np.iinfo(np.int64).max
 
 
+def _iterate(p, rule: str):
+    """An iterator over ``p``, or DataError stating ``rule``."""
+    try:
+        return iter(p)
+    except TypeError:
+        raise DataError(f"{rule}, got {p!r}") from None
+
+
 def _targets(i: int, p) -> frozenset[int]:
     """Query i's entry as a set of target indices, or DataError naming the query."""
-    try:
-        targets = iter(p)
-    except TypeError:
-        raise DataError(f"query {i}'s targets must be a collection of indices, got {p!r}") from None
+    targets = _iterate(p, f"query {i}'s targets must be a collection of indices")
     return frozenset(_as_index(f"query {i}'s target", j) for j in targets)
 
 
@@ -38,7 +43,8 @@ class GroundTruth:
     pairs: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        pairs = tuple(_targets(i, p) for i, p in enumerate(self.pairs))
+        entries = _iterate(self.pairs, "ground truth must be a collection of per-query target sets")
+        pairs = tuple(_targets(i, p) for i, p in enumerate(entries))
         if not pairs:
             raise DataError("ground truth must cover at least one query")
         for i, p in enumerate(pairs):

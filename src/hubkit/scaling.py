@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core
 from .core import SimilarityMatrix, _freeze, row_topk_desc
-from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonFiniteInput, NonPositiveTau, _as_index
+from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonPositiveTau, _as_index
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,7 @@ class HubnessVector:
     temperature: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise NonFiniteInput(f"hubness values must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteInput("hubness values contain NaN or Inf")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", _freeze(self.values, 1, "hubness values"))
 
 
 @dataclass(frozen=True)

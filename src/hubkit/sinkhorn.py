@@ -58,24 +58,28 @@ class Marginals:
                 if name == "b":
                     raise DataError("column marginal b is required")
                 continue
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.ndim != 1 or vec.size < 1:
-                raise ShapeMismatch(f"marginal {name} must be a nonempty vector")
-            if np.any(vec <= 0.0) or not np.all(np.isfinite(vec)):
-                raise ZeroMarginalEntry(f"marginal {name} must have finite entries > 0")
+            vec = _freeze(vec, 1, f"marginal {name}")
+            if np.any(vec <= 0.0):
+                raise ZeroMarginalEntry(f"marginal {name} must have entries > 0")
             if abs(vec.sum() - 1.0) > 1e-12:
                 raise DataError(f"marginal {name} must sum to 1, got {vec.sum()!r}")
-            object.__setattr__(self, name, _freeze(vec))
+            object.__setattr__(self, name, vec)
 
     @classmethod
     def uniform(cls, m: int, n: int) -> "Marginals":
-        m, n = _as_index("m", m), _as_index("n", n)
-        return cls(a=np.full(m, 1.0 / m), b=np.full(n, 1.0 / n))
+        return cls(a=_uniform("m", m), b=_uniform("n", n))
 
     @classmethod
     def column_only(cls, n: int) -> "Marginals":
-        n = _as_index("n", n)
-        return cls(a=None, b=np.full(n, 1.0 / n))
+        return cls(a=None, b=_uniform("n", n))
+
+
+def _uniform(name: str, size) -> np.ndarray:
+    """A uniform distribution over ``size`` entries; ShapeMismatch below one."""
+    size = _as_index(name, size)
+    if size < 1:
+        raise ShapeMismatch(f"{name} must be >= 1, got {size}")
+    return np.full(size, 1.0 / size)
 
 
 @dataclass(frozen=True)

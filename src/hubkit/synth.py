@@ -55,8 +55,8 @@ class SynthConfig:
             raise DataError("dim and n_pairs must be positive")
         if _as_index("seed", self.seed) < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        if self.noise_sigma < 0 or self.gap_magnitude < 0 or self.bank_shift < 0:
-            raise DataError("noise_sigma, gap_magnitude, bank_shift must be nonnegative")
+        if not all(0 <= x < np.inf for x in (self.noise_sigma, self.gap_magnitude, self.bank_shift)):
+            raise DataError("noise_sigma, gap_magnitude, bank_shift must be finite and nonnegative")
         if not 0.0 <= self.hub_fraction <= 1.0:
             raise DataError(f"hub_fraction must lie in [0,1], got {self.hub_fraction}")
         if not 0.0 <= self.hub_strength <= 1.0:

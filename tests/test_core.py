@@ -17,10 +17,14 @@ from hubkit import core
 from hubkit import (
     DimMismatch,
     EmbeddingSet,
+    HubnessVector,
+    KOccurrence,
+    Marginals,
     NonFiniteInput,
     RankMatrix,
     Role,
     SimilarityMatrix,
+    TransportPlan,
     ZeroVectorRow,
     cosine_similarity_matrix,
     l2_normalize,
@@ -518,3 +522,100 @@ class TestContainers:
         for arr in (S.values, R.order, loaded.data):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
+
+
+#: Every domain type, and l2_normalize, as a function of its array, with a
+#: valid array of its rank and whether that array is checked for NaN and Inf.
+INTAKES = {
+    "EmbeddingSet": (EmbeddingSet, np.eye(2), True),
+    "SimilarityMatrix": (SimilarityMatrix, np.eye(2), True),
+    "SimilarityMatrix float32": (SimilarityMatrix, np.eye(2, dtype=np.float32), True),
+    "l2_normalize": (l2_normalize, np.eye(2), True),
+    "HubnessVector": (lambda x: HubnessVector(x, temperature=0.1), np.zeros(2), True),
+    "Marginals a": (lambda x: Marginals(a=x, b=np.ones(1)), np.full(2, 0.5), True),
+    "Marginals b": (lambda x: Marginals(a=None, b=x), np.full(2, 0.5), True),
+    "KOccurrence": (lambda x: KOccurrence(k=1, counts=x), np.ones(2, dtype=np.int64), False),
+    "RankMatrix": (RankMatrix, np.array([[1, 0]]), False),
+    "TransportPlan": (lambda x: TransportPlan(x, None, None, 0.0, 0, 0.0), np.eye(2), False),
+}
+
+
+class TestIntake:
+    @pytest.mark.parametrize("name", INTAKES)
+    def test_wrong_rank_is_a_shape_mismatch(self, name):
+        make, good, _ = INTAKES[name]
+        make(good)
+        for bad in (good[None], good[0], good.flat[0]):
+            with pytest.raises(ShapeMismatch):
+                make(bad)
+
+    @pytest.mark.parametrize("name", [name for name in INTAKES if name != "RankMatrix"])  # an empty order is valid
+    def test_empty_is_a_shape_mismatch(self, name):
+        make, good, _ = INTAKES[name]
+        for shape in [(0,)] if good.ndim == 1 else [(0, 2), (2, 0)]:
+            with pytest.raises(ShapeMismatch):
+                make(np.zeros(shape, dtype=good.dtype))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [name for name, (_, _, checked) in INTAKES.items() if checked])
+    def test_nan_or_inf_is_non_finite(self, name, value):
+        """Marginals included: a NaN entry is not a zero entry."""
+        make, good, _ = INTAKES[name]
+        bad = good.copy()
+        bad.flat[-1] = value
+        with pytest.raises(NonFiniteInput):
+            make(bad)
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass with nothing of its own."""
+
+
+class _Lender:
+    """An array-like that hands numpy its own buffer."""
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def __array__(self, dtype=None, copy=None):
+        return self.arr
+
+
+def _matrix(base):
+    with pytest.warns(PendingDeprecationWarning):
+        return np.asmatrix(base)
+
+
+#: Arrays a caller may hand over, as functions of a float64 base array.
+_SOURCES = {
+    "subclass": lambda base: base.view(_Tagged),
+    "np.matrix": _matrix,
+    "strided view": lambda base: base[..., ::2],
+    "float32": lambda base: base.astype(np.float32),
+    "array-like": _Lender,
+}
+
+
+@pytest.mark.parametrize(
+    "name, stored, source",
+    [
+        pytest.param(name, stored, source, id=f"{name}-{source}")
+        for name, stored in (("EmbeddingSet", "data"), ("SimilarityMatrix", "values"), ("HubnessVector", "values"))
+        for source in _SOURCES
+        if (name, source) != ("HubnessVector", "np.matrix")  # a matrix is never 1-D
+    ],
+)
+def test_callers_arrays_are_copied_once_and_never_shared(name, stored, source):
+    make, good, _ = INTAKES[name]
+    base = np.random.default_rng(25).standard_normal((400, 500) if good.ndim == 2 else 200_000)
+    arr = _SOURCES[source](base)
+    tracemalloc.start()
+    try:
+        out = getattr(make(arr), stored)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.may_share_memory(out, arr) and not np.may_share_memory(out, base)
+    assert not out.flags.writeable and type(out) is np.ndarray
+    np.testing.assert_array_equal(out, arr)
+    assert peak <= 1.1 * out.nbytes  # one buffer: the conversion or the copy, never both

@@ -78,6 +78,11 @@ class TestGroundTruth:
         assert gt.pairs == (frozenset({0}), frozenset({1}))
         assert all(type(j) is int for p in gt.pairs for j in p)
 
+    @pytest.mark.parametrize("pairs", [5, 2.5, None])
+    def test_rejects_a_non_collection(self, pairs):
+        with pytest.raises(DataError, match="ground truth must be a collection"):
+            GroundTruth(pairs)
+
     @pytest.mark.parametrize("m", [2.5, np.float64(2.0)])
     def test_identity_refuses_non_integer_size(self, m):
         with pytest.raises(DataError, match="m must be an integer"):

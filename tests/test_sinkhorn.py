@@ -141,6 +141,15 @@ class TestMarginals:
         with pytest.raises(DataError, match=f"{name} must be an integer"):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Marginals.uniform(0, 3), lambda: Marginals.uniform(3, 0), lambda: Marginals.column_only(0)],
+        ids=["uniform m", "uniform n", "column_only n"],
+    )
+    def test_empty_size_is_refused(self, make):
+        with pytest.raises(DataError, match="must be >= 1"):
+            make()
+
     def test_rejects_zero_entry(self):
         with pytest.raises(ZeroMarginalEntry):
             Marginals(a=np.array([1.0, 0.0]), b=np.array([0.5, 0.5]))

@@ -80,6 +80,10 @@ class TestGeneratePaired:
             SynthConfig(hub_fraction=1.5)
         with pytest.raises(DataError):
             SynthConfig(hub_strength=-0.2)
+        for name in ("noise_sigma", "gap_magnitude", "bank_shift"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(DataError, match="finite"):
+                    SynthConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "bad", [{"dim": 2.5}, {"n_pairs": 10.0}, {"n_pairs": "10"}, {"seed": 1.5}, {"seed": -1}]
