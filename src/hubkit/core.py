@@ -211,8 +211,8 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
     return SimilarityMatrix(Q.data @ T.data.T, row_role=Q.role, col_role=T.role, _adopt=True)
 
 
-#: Target size of one row block of the ranking functions, in values; also
-#: the size of each thread's key scratch (512 KiB, which stays in L2).
+#: Target size of one row block of the ranking functions, in values (its
+#: int64 keys take 512 KiB, which stays in L2).
 _SORT_BLOCK_VALUES = 1 << 16
 
 #: Least rows, and least values, of one block of the normalizers' m x n
@@ -313,38 +313,24 @@ def _in_column_slabs(shape: tuple, work) -> None:
     _run_blocks(lambda k: work(slice(edges[k], edges[k + 1])), range(slabs), slabs)
 
 
-_scratch = threading.local()
-
-
-def _key_scratch(size: int) -> np.ndarray:
-    """``size`` values of this thread's 64-bit key buffer, which is kept for
-    the thread's later blocks and calls and grown only for a row longer than
-    one block."""
-    keys = getattr(_scratch, "keys", None)
-    if keys is None or keys.size < size:
-        keys = _scratch.keys = np.empty(max(size, _SORT_BLOCK_VALUES), dtype=np.int64)
-    return keys[:size]
-
-
 def _argsort_block(V: np.ndarray, out: np.ndarray) -> None:
     """Stable descending argsort of the rows of V into the int32 ``out``,
     by packed keys.
 
     Each score becomes a float64 key: ``-V`` (``-0.0`` canonicalized to
     ``+0.0``) with the low ``b = (n - 1).bit_length()`` bits of its pattern
-    replaced by the column index.  The keys are built in this thread's
-    scratch (see :func:`_key_scratch`), not in the result.  numpy's
-    vectorized float sort orders them, and the low bits of the sorted keys
-    are the columns, written straight into ``out``.  Keys that share their
-    high bits (equal scores, or scores that differ only in the dropped bits)
-    may be out of order, the more so as a negative key's column bits count
-    downwards, so rows with two such adjacent keys are sorted again with the
-    stable float sort.
+    replaced by the column index.  The keys are built in a buffer of the
+    block's own, not in the result.  numpy's vectorized float sort orders
+    them, and the low bits of the sorted keys are the columns, written
+    straight into ``out``.  Keys that share their high bits (equal scores,
+    or scores that differ only in the dropped bits) may be out of order, the
+    more so as a negative key's column bits count downwards, so rows with
+    two such adjacent keys are sorted again with the stable float sort.
     """
     n = V.shape[1]
     b = (n - 1).bit_length()
     low = (1 << b) - 1
-    keys = _key_scratch(V.size).reshape(V.shape)
+    keys = np.empty(V.shape, dtype=np.int64)
     np.subtract(0.0, V, out=keys.view(np.float64))
     keys &= ~low
     keys |= np.arange(n)

@@ -98,6 +98,16 @@ def _as_index(name: str, value) -> int:
         raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _as_real(name: str, value) -> float:
+    """``value`` as a float if ``float()`` takes it and it is not text, else DataError."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DataError(f"{name} must be a real number, got {value!r}")
+
+
 class FileFormatError(HubkitError, IOError):
     """Base class for binary/report file problems."""
 

@@ -173,7 +173,7 @@ def evaluate(
     without sorting.  The median for even query counts is the lower median,
     so the reported MdR is always an attained rank.
     """
-    Ks = [_as_index("K", k) for k in Ks]
+    Ks = [_as_index("K", k) for k in _iterate(Ks, "Ks must be a collection of integers")]
     if not Ks:
         raise DataError("Ks must be nonempty")
     if any(k < 1 or k > S.cols for k in Ks):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core
 from .core import SimilarityMatrix, _freeze, row_topk_desc
-from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonPositiveTau, _as_index
+from .errors import ColMismatch, KOutOfRange, LengthMismatch, NonPositiveTau, _as_index, _as_real
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class DualISConfig:
     tau2: float = 0.02
 
     def __post_init__(self):
-        if not 0.0 < self.tau1 < np.inf:
+        if not 0.0 < _as_real("tau1", self.tau1) < np.inf:
             raise NonPositiveTau(self.tau1)
-        if not 0.0 < self.tau2 < np.inf:
+        if not 0.0 < _as_real("tau2", self.tau2) < np.inf:
             raise NonPositiveTau(self.tau2)
 
     @property
@@ -75,7 +75,7 @@ class DISConfig:
 def _shifted_exp(V: np.ndarray, tau: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(exp(V/tau - top), top)``, ``top`` the column maxima of V/tau, in
     ``out`` or one fresh float64 buffer; no exp argument is positive."""
-    if not 0.0 < tau < np.inf:
+    if not 0.0 < _as_real("tau", tau) < np.inf:
         raise NonPositiveTau(tau)
     # without dtype, a float32 V would be divided in float32, then widened into out
     out = np.divide(V, tau, out=out, dtype=np.float64)

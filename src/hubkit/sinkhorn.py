@@ -5,16 +5,17 @@ and column marginals, where ``H(pi) = sum -pi_ij (log pi_ij - 1)``.  The
 optimum has the form ``pi_ij = exp((S_ij + f_i + g_j) / tau)`` with dual
 potentials f, g fixed by alternating row/column balancing.
 
-Balancing runs in the scaling domain with log-domain absorption (Schmitzer
-2019): two passes over one kernel buffer per sweep, whose entries never
-exceed 1, so the e^100 scale of ``exp(S / tau)`` at tau = 0.01 is never
-formed; sums that underflow are redone as exact log-sum-exps.  The row
-update is one BLAS mat-vec ``K @ w``.  The kernel build and the plan run in
-the row blocks of a normalizer pass, and the column update in its column
-slabs (:func:`core._in_row_blocks`, :func:`core._in_column_slabs`): each
-column adds its rows in one order whatever the slabs, so every result is
-the same for any block size and thread count.  The plan is materialized
-only by :func:`sinkhorn`, once, at the end, in the kernel's buffer.
+Balancing carries log scalings against anchors that absorb them (Schmitzer
+2019), never a difference of potentials, whose rounding tau would amplify:
+two passes over one kernel buffer per sweep, whose entries never exceed 1,
+so the e^100 scale of ``exp(S / tau)`` at tau = 0.01 is never formed; sums
+that underflow are redone as exact log-sum-exps.  The row update is one
+BLAS mat-vec ``K @ w``.  The kernel build and the plan run in the row
+blocks of a normalizer pass, and the column update in its column slabs
+(:func:`core._in_row_blocks`, :func:`core._in_column_slabs`): each column
+adds its rows in one order whatever the slabs, so every result is the same
+for any block size and thread count.  The plan is materialized only by
+:func:`sinkhorn`, once, at the end, in the kernel's buffer.
 
 Ranking use: per row, ``pi`` is a monotone transform of ``S + g``, so adding
 the column potential to the similarity matrix reproduces the plan's ranking
@@ -35,6 +36,7 @@ from .errors import (
     ShapeMismatch,
     ZeroMarginalEntry,
     _as_index,
+    _as_real,
 )
 from .scaling import HubnessVector, _plus_columns, apply_hubness
 
@@ -97,11 +99,11 @@ class SinkhornConfig:
     tol: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.tau < np.inf:
+        if not 0.0 < _as_real("tau", self.tau) < np.inf:
             raise NonPositiveTau(self.tau)
         if _as_index("max_iters", self.max_iters) < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol >= 0:
+        if not _as_real("tol", self.tol) >= 0:
             raise DataError(f"tol must be >= 0, got {self.tol}")
 
 
@@ -154,7 +156,7 @@ def _check_shapes(shape: tuple[int, int], marg: Marginals) -> None:
         raise ShapeMismatch(f"column marginal length {marg.b.shape[0]} vs {n} columns")
 
 
-#: A scaling whose log leaves [-_ABSORB, _ABSORB] is absorbed into the kernel.
+#: A log scaling that leaves [-_ABSORB, _ABSORB] is absorbed into the kernel.
 _ABSORB = 200.0
 #: Kernel entries that underflow each err by under ``tiny * w_j``, so a sum
 #: ``K @ w`` above ``w.sum() * _LOST`` keeps float64 precision.
@@ -188,21 +190,22 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
 
     The scores V are given as a tuple of column blocks (one matrix is one
     block), so matrices that share their rows are balanced as one without
-    being stacked: only the kernel spans every column.  Each update
-    multiplies ``K = exp((V + F + G) / tau)`` by the scaling
-    ``exp((g - G) / tau)`` or ``exp((f - F) / tau)``.  The anchors F, G start
-    at minus the row (or, rows free, column) maxima and take the values of
-    f, g when a scaling leaves ``e^+-_ABSORB``, so K never exceeds 1.  Column
-    sums use einsum, which adds in one order for every column, so equal
-    columns get equal ``g`` (BLAS rounds the columns of a tail block apart);
-    see :func:`_column_sums`.  K is built in ``kernel`` (a float64 m x n
-    buffer) when one is given.
+    being stacked: only the kernel spans every column.  The state is the log
+    scalings u, v of ``K = exp((V + F + G) / tau)``: ``f = F + tau * u``,
+    ``g = G + tau * v``.  An update sets one side's scaling to ``log(marginal
+    / sums)``; the row update returns ``sum |exp(u) * (K @ exp(v)) - a|`` for
+    the u it replaces, the row residual of (f, g).  The anchors start at minus
+    the row (or, rows free, column) maxima and absorb both scalings when one
+    leaves ``[-_ABSORB, _ABSORB]``, so K never exceeds 1.  Column sums use
+    einsum, which adds in one order for every column, so equal columns get
+    equal ``g`` (BLAS rounds the columns of a tail block apart); see
+    :func:`_column_sums`.  K is built in ``kernel`` (a float64 m x n buffer) if given.
     """
     tau = cfg.tau
     m, n = blocks[0].shape[0], sum(B.shape[1] for B in blocks)
     log_a, log_b = None if a is None else np.log(a), np.log(b)
-    # float64 whatever the blocks' dtype: the anchors take the values of f, g
-    F = np.zeros(m)
+    # float64 whatever the blocks' dtype: the anchors absorb the potentials
+    F, u, v = np.zeros(m), np.zeros(m), np.zeros(n)
     G = -np.concatenate([B.max(axis=0) for B in blocks], dtype=np.float64) if a is None else np.zeros(n)
     K = np.empty((m, n)) if kernel is None else kernel
     block_rows = core._pass_rows(n)
@@ -219,36 +222,32 @@ def _sinkhorn_duals(blocks: tuple, a: np.ndarray | None, b: np.ndarray, cfg: Sin
         np.divide(Kr, tau, out=Kr)
         np.exp(Kr, out=Kr)
 
-    def absorb(f, g):
-        F[:], G[:] = f, g
-        core._in_row_blocks(m, block_rows, build)
-
-    def update(on_rows, other):
-        anchor, other_anchor, log_marg = (F, G, log_a) if on_rows else (G, F, log_b)
-        w = np.exp((other - other_anchor) / tau)
+    def update(on_rows):
+        own, other, anchor, other_anchor, marg, log_marg = (
+            (u, v, F, G, a, log_a) if on_rows else (v, u, G, F, b, log_b))
+        w = np.exp(other)
         s = K @ w if on_rows else _column_sums(K, w)
+        residual = float(np.abs(np.exp(own) * s - marg).sum())
         with np.errstate(divide="ignore"):
-            pot = anchor + tau * (log_marg - np.log(s))
+            np.subtract(log_marg, np.log(s), out=own)
         lost = np.flatnonzero(~(s >= w.sum() * _LOST))
         if lost.size:
-            X = (_gather(blocks, lost, on_rows) + other) / tau
+            X = (_gather(blocks, lost, on_rows) + (other_anchor + tau * other)) / tau
             top = X.max(axis=1)
-            pot[lost] = tau * (log_marg[lost] - top - np.log(np.exp(X - top[:, None]).sum(axis=1)))
-        if np.abs(pot - anchor).max() > _ABSORB * tau:
-            absorb(*((pot, other) if on_rows else (other, pot)))
-        return pot
-
-    def rows(g):
-        return np.zeros(m) if a is None else update(True, g)
+            own[lost] = log_marg[lost] - top - np.log(np.exp(X - top[:, None]).sum(axis=1)) - anchor[lost] / tau
+        if np.abs(own).max() > _ABSORB:
+            F[:], G[:], u[:], v[:] = F + tau * u, G + tau * v, 0.0, 0.0
+            core._in_row_blocks(m, block_rows, build)
+        return residual
 
     core._in_row_blocks(m, block_rows, lambda r: build(r, row_maxima=a is not None))
-    f_next = rows(np.zeros(n))
+    if a is not None:
+        update(True)
     converged = cfg.tol <= 0.0
     for sweep in range(cfg.max_iters):
-        f = f_next
-        g = update(False, f)
-        f_next = rows(g)  # its sums give the row sums of (f, g): a * exp((f - f_next) / tau)
-        residual = 0.0 if a is None else float(np.abs(np.exp(log_a + (f - f_next) / tau) - a).sum())
+        update(False)
+        f, g = F + tau * u, G + tau * v
+        residual = 0.0 if a is None else update(True)
         if cfg.tol > 0.0 and residual <= cfg.tol:
             converged = True
             break

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingSet, Role
-from .errors import DataError, _as_index
+from .errors import DataError, _as_index, _as_real
 from .retrieval import GroundTruth
 
 _STREAM_DIRECTION = 0
@@ -55,11 +55,12 @@ class SynthConfig:
             raise DataError("dim and n_pairs must be positive")
         if _as_index("seed", self.seed) < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        if not all(0 <= x < np.inf for x in (self.noise_sigma, self.gap_magnitude, self.bank_shift)):
+        if not all(0 <= _as_real(name, getattr(self, name)) < np.inf
+                   for name in ("noise_sigma", "gap_magnitude", "bank_shift")):
             raise DataError("noise_sigma, gap_magnitude, bank_shift must be finite and nonnegative")
-        if not 0.0 <= self.hub_fraction <= 1.0:
+        if not 0.0 <= _as_real("hub_fraction", self.hub_fraction) <= 1.0:
             raise DataError(f"hub_fraction must lie in [0,1], got {self.hub_fraction}")
-        if not 0.0 <= self.hub_strength <= 1.0:
+        if not 0.0 <= _as_real("hub_strength", self.hub_strength) <= 1.0:
             raise DataError(f"hub_strength must lie in [0,1], got {self.hub_strength}")
 
 
@@ -112,8 +113,8 @@ def generate_paired(cfg: SynthConfig) -> tuple[EmbeddingSet, EmbeddingSet, Groun
         cfg, _rng(cfg, _STREAM_PAIRED), gap_dir, gap_vec, np.zeros(cfg.dim)
     )
     return (
-        EmbeddingSet(queries, role=Role.QUERY),
-        EmbeddingSet(targets, role=Role.TARGET),
+        EmbeddingSet(queries, role=Role.QUERY, _adopt=True),
+        EmbeddingSet(targets, role=Role.TARGET, _adopt=True),
         GroundTruth.identity(cfg.n_pairs),
     )
 
@@ -138,4 +139,5 @@ def generate_banks(
     gap_dir = _gap_direction(cfg)
     gap_vec = cfg.gap_magnitude * np.sqrt(cfg.dim) * gap_dir
     bq, bt = _paired_cloud(cfg, rng, gap_dir, gap_vec, shift_vec)
-    return EmbeddingSet(bq, role=Role.QUERY_BANK), EmbeddingSet(bt, role=Role.TARGET_BANK)
+    return (EmbeddingSet(bq, role=Role.QUERY_BANK, _adopt=True),
+            EmbeddingSet(bt, role=Role.TARGET_BANK, _adopt=True))

@@ -20,7 +20,7 @@ overwhelmingly sparse, in contrast to the strictly positive entropic plan.
 import numpy as np
 
 from .core import SimilarityMatrix
-from .errors import DataError, EmptyPlan, _as_index
+from .errors import DataError, EmptyPlan, _as_index, _as_real
 from .sinkhorn import Marginals, TransportPlan, _check_shapes, _violation
 
 
@@ -99,11 +99,11 @@ def l2n(
     """
     if marg.a is None:
         raise DataError("l2n requires both marginals")
-    if not 0.0 < coeff < np.inf:
+    if not 0.0 < _as_real("coeff", coeff) < np.inf:
         raise DataError(f"coeff must be finite and > 0, got {coeff}")
     if _as_index("max_sweeps", max_sweeps) < 1:
         raise DataError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if not tol >= 0.0:
+    if not _as_real("tol", tol) >= 0.0:
         raise DataError(f"tol must be >= 0, got {tol}")
     _check_shapes(S.values.shape, marg)
     from scipy import sparse
@@ -178,6 +178,8 @@ def _sparsity(pi: np.ndarray, eps_rel: float) -> float:
     """Fraction of the entries of ``pi`` below ``eps_rel`` times the largest."""
     if pi.size == 0:
         raise EmptyPlan("plan has no entries")
+    if not 0.0 <= _as_real("eps_rel", eps_rel) < np.inf:
+        raise DataError(f"eps_rel must be finite and >= 0, got {eps_rel}")
     # a float64 threshold: a float32 ``pi`` is compared in float64
     return float(np.mean(pi < np.float64(eps_rel) * pi.max()))
 

@@ -513,7 +513,7 @@ class TestContainers:
         finally:
             tracemalloc.stop()
         assert sim_peak < 1.5 * S.values.nbytes
-        # the keys are built in R.order; one block of scratch comes on top
+        # R.order, and the int64 keys of the blocks being sorted on top
         assert rank_peak - S.values.nbytes < 1.2 * R.order.nbytes
         # SIM1 values are read straight into the matrix's float32 array;
         # EMB1 adds the float64 widening to it

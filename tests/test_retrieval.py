@@ -229,6 +229,11 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(S, GroundTruth.identity(3), Ks=[4])
 
+    @pytest.mark.parametrize("Ks", [5, None, 2.0])
+    def test_ks_that_are_not_a_collection_are_refused(self, Ks):
+        with pytest.raises(DataError, match="Ks must be a collection of integers"):
+            evaluate(SimilarityMatrix(np.eye(6)), GroundTruth.identity(6), Ks=Ks)
+
     @pytest.mark.parametrize("Ks", [[1, 1.5], [2.5], [np.float64(2.0)], ["1"]])
     def test_non_integer_k_is_refused(self, Ks):
         S = SimilarityMatrix(np.eye(3))

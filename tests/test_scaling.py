@@ -65,6 +65,16 @@ class TestInvertedSoftmax:
         with pytest.raises(NonPositiveTau):
             inverted_softmax(S, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [None, "0.02", [0.02]])
+    def test_rejects_non_numeric_tau(self, tau):
+        S = SimilarityMatrix(np.array([[0.1]]))
+        with pytest.raises(DataError, match="tau must be a real number"):
+            inverted_softmax(S, tau=tau)
+        with pytest.raises(DataError, match="tau1 must be a real number"):
+            DualISConfig(tau1=tau)
+        with pytest.raises(DataError, match="tau2 must be a real number"):
+            DualISConfig(tau2=tau)
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_rejects_non_finite_tau(self, tau):
         S = SimilarityMatrix(np.array([[0.1]]))

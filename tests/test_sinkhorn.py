@@ -180,6 +180,14 @@ class TestMarginals:
         with pytest.raises(DataError):
             SinkhornConfig(tol=np.nan)
 
+    @pytest.mark.parametrize("bad", [{"tau": "x"}, {"tau": "0.01"}, {"tau": None}, {"tol": None}, {"tol": b"0"},
+                                     {"tau": 0.01j}])
+    def test_non_numeric_tau_or_tol_is_refused(self, bad):
+        (name,) = bad
+        with pytest.raises(DataError, match=f"{name} must be a real number"):
+            SinkhornConfig(**bad)
+        SinkhornConfig(**{name: np.float32(0.5)})  # numpy reals pass
+
 
 class TestSinkhorn:
     def test_constant_matrix_gives_product_plan(self):
@@ -519,9 +527,17 @@ class TestScalingDomainMatchesLogDomain:
             m = self._duals_plan_and_rankings(data)
         assert m <= _SMALL_BLOCKS or max(runs) >= 2
 
+    def test_duals_plan_and_rankings_of_one_wide_row(self):
+        # potentials of about 46 at tau = 0.005: a residual taken from their
+        # difference divides its rounding by tau, 1.4e-12 off the reference
+        V = np.random.default_rng(4294967294).uniform(-1.0, 1.0, (1, 15)) * 50.0
+        self._assert_duals_plan_and_rankings(V, SinkhornConfig(tau=0.005, max_iters=1), free_rows=False)
+
     def _duals_plan_and_rankings(self, data):
         V, cfg = _reference_inputs(data)
-        free_rows = data.draw(st.booleans())
+        return self._assert_duals_plan_and_rankings(V, cfg, data.draw(st.booleans()))
+
+    def _assert_duals_plan_and_rankings(self, V, cfg, free_rows):
         marg = Marginals.column_only(V.shape[1]) if free_rows else Marginals.uniform(*V.shape)
         f_ref, g_ref, sweeps_ref, converged_ref = _log_domain_reference(
             V, marg.a, marg.b, cfg.tau, cfg.max_iters, cfg.tol
@@ -544,6 +560,23 @@ class TestScalingDomainMatchesLogDomain:
         if not free_rows and V.shape[0] > 1:
             _assert_ranks_like(sn_normalize(SimilarityMatrix(V), cfg).values, V + g_ref[None, :], V)
         return V.shape[0]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                        reason="long double is float64 here")
+    @pytest.mark.parametrize("tau", [0.01, 0.005, 0.002])
+    def test_g_within_one_rounding_of_v_from_a_long_double_reference(self, tau):
+        """Up to its free constant, g is within one rounding of a number of
+        V's size: no rounding of a potential is divided by tau."""
+        for seed in range(20):
+            V = np.random.default_rng(seed).uniform(-1.0, 1.0, (60, 50)) * 50.0
+            _, g, *_ = _sinkhorn_duals((V,), np.full(60, 1 / 60), np.full(50, 1 / 50),
+                                       SinkhornConfig(tau=tau, max_iters=10))
+            X, g_ref = V.astype(np.longdouble), np.zeros(50, dtype=np.longdouble)
+            for _ in range(10):
+                f_ref = -tau * np.log(60) - tau * logsumexp((X + g_ref) / tau, axis=1)
+                g_ref = -tau * np.log(50) - tau * logsumexp((X + f_ref[:, None]) / tau, axis=0)
+            moved = g - g_ref
+            assert np.abs(moved - moved.mean()).max() <= np.finfo(np.float64).eps * np.abs(V).max()
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

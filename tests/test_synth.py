@@ -23,6 +23,7 @@ from hubkit import (
     row_argsort_desc,
     skewness,
 )
+from hubkit import core
 
 
 def _skew(S):
@@ -71,6 +72,19 @@ class TestGeneratePaired:
         assert np.array_equal(B1[0].data, B2[0].data)
         assert np.array_equal(B1[1].data, B2[1].data)
 
+    def test_generated_sets_are_adopted_not_copied(self, monkeypatch):
+        frozen, freeze = [], core._freeze
+
+        def spy(arr, *args, adopt=False, **kwargs):
+            frozen.append((arr, adopt))
+            return freeze(arr, *args, adopt=adopt, **kwargs)
+
+        monkeypatch.setattr(core, "_freeze", spy)
+        cfg = SynthConfig(dim=8, n_pairs=20, seed=4)
+        sets = generate_paired(cfg)[:2] + generate_banks(cfg)
+        # the stored array is the one the generator computed, taken in place
+        assert all(any(arr is X.data and adopt for arr, adopt in frozen) for X in sets)
+
     def test_config_validation(self):
         with pytest.raises(DataError):
             SynthConfig(dim=0)
@@ -84,6 +98,12 @@ class TestGeneratePaired:
             for value in (np.nan, np.inf):
                 with pytest.raises(DataError, match="finite"):
                     SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["noise_sigma", "gap_magnitude", "bank_shift", "hub_fraction", "hub_strength"])
+    @pytest.mark.parametrize("value", [None, "0.5"])
+    def test_non_numeric_magnitude_is_refused(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be a real number"):
+            SynthConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "bad", [{"dim": 2.5}, {"n_pairs": 10.0}, {"n_pairs": "10"}, {"seed": 1.5}, {"seed": -1}]

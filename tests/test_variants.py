@@ -315,6 +315,13 @@ class TestL2n:
         with pytest.raises(DataError):
             l2n(S, Marginals.uniform(2, 2), **bad)
 
+    @pytest.mark.parametrize("bad", [{"coeff": None}, {"coeff": "100"}, {"tol": None}, {"tol": "0"}])
+    def test_refuses_non_numeric_solver_parameters(self, bad):
+        (name,) = bad
+        S = SimilarityMatrix(np.zeros((2, 2)) + 0.1)
+        with pytest.raises(DataError, match=f"{name} must be a real number"):
+            l2n(S, Marginals.uniform(2, 2), **bad)
+
 
 @pytest.mark.parametrize(
     "solve, shape",
@@ -385,3 +392,11 @@ class TestSparsity:
         fake = types.SimpleNamespace(pi=np.zeros((0, 0)))
         with pytest.raises(EmptyPlan):
             sparsity(fake)
+
+    @pytest.mark.parametrize("eps_rel", [None, "1e-9", np.nan, np.inf, -1e-9])
+    def test_eps_rel_is_a_finite_nonnegative_number(self, eps_rel):
+        """As the CLI's --eps-rel: a NaN or None threshold would count no entry."""
+        plan = types.SimpleNamespace(pi=np.array([[1.0, 0.0]]))
+        with pytest.raises(DataError, match="eps_rel must be"):
+            sparsity(plan, eps_rel=eps_rel)
+        assert sparsity(plan, eps_rel=np.float32(0.5)) == 0.5
