@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingSet, RankMatrix, _freeze
+from .core import EmbeddingSet, RankMatrix, _freeze, l2_normalize
 from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning, _as_index
 
 
@@ -92,31 +92,36 @@ def skewness(occ: KOccurrence) -> float:
 
 
 def _ground_cost(X: np.ndarray, Y: np.ndarray, kind: str) -> np.ndarray:
+    """Cost between the rows of X and Y; for the cosine cost both are unit rows."""
     if kind == "euclidean":
         from scipy.spatial.distance import cdist
 
         return cdist(X, Y)
-    Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-    Yn = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    return 1.0 - Xn @ Yn.T
+    return 1.0 - X @ Y.T
 
 
 def emd(X: EmbeddingSet, Y: EmbeddingSet, cfg: EmdConfig = EmdConfig()) -> float:
     """Average per-point optimal-assignment cost between subsamples of X and Y.
 
     Each assignment is solved exactly by scipy's ``linear_sum_assignment``.
+    The cosine ground cost has no value at a zero row: one in X or Y is
+    refused (ZeroVectorRow) before any draw.
     """
     from scipy.optimize import linear_sum_assignment
 
     if X.dim != Y.dim:
         raise DimMismatch(X.dim, Y.dim)
+    Xs, Ys = X.data, Y.data
+    if cfg.ground_cost == "one_minus_cosine":
+        # a row's norm does not depend on the rows drawn with it: normalize once
+        Xs, Ys = l2_normalize(Xs).data, l2_normalize(Ys).data
     size = min(cfg.subsample, X.count, Y.count)
     total = 0.0
     for repeat in range(cfg.repeats):
         rng = np.random.default_rng((cfg.seed, repeat))
         xi = rng.choice(X.count, size=size, replace=False)
         yi = rng.choice(Y.count, size=size, replace=False)
-        cost = _ground_cost(X.data[xi], Y.data[yi], cfg.ground_cost)
+        cost = _ground_cost(Xs[xi], Ys[yi], cfg.ground_cost)
         rows, cols = linear_sum_assignment(cost)
         total += float(cost[rows, cols].sum()) / size
     return total / cfg.repeats

@@ -197,11 +197,11 @@ def read_ground_truth(path) -> GroundTruth:
         parts = [part.strip() for part in line.split(",")]
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise DataError(f"{path} (line {number}): expected nonnegative target indices, got {line!r}")
-        pairs.append(frozenset(int(part) for part in parts))
-    return GroundTruth(tuple(pairs))
+        pairs.append([int(part) for part in parts])
+    return GroundTruth(pairs)
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
     """Write one line per query: its target indices, ascending, comma-joined."""
-    text = "".join(",".join(str(j) for j in sorted(pair)) + "\n" for pair in gt.pairs)
+    text = "".join(",".join(map(str, row)) + "\n" for row in gt._rows())
     _write_file(path, text.encode("utf-8"))

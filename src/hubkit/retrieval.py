@@ -6,6 +6,7 @@ rescaling of the similarity scores.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -14,7 +15,7 @@ from . import core
 from .core import RankMatrix, SimilarityMatrix
 from .errors import DataError, IndexOutOfRange, ShapeMismatch, _as_index
 
-#: Largest target index a ground truth can hold: its pairs are indexed in int64.
+#: Largest target index a ground truth can hold: its targets are stored in int64.
 _MAX_INDEX = np.iinfo(np.int64).max
 
 
@@ -26,46 +27,94 @@ def _iterate(p, rule: str):
         raise DataError(f"{rule}, got {p!r}") from None
 
 
-def _targets(i: int, p) -> frozenset[int]:
-    """Query i's entry as a set of target indices, or DataError naming the query."""
+def _targets(i: int, p) -> list[int]:
+    """Query i's entry as its distinct target indices, ascending, or DataError naming the query."""
     targets = _iterate(p, f"query {i}'s targets must be a collection of indices")
-    return frozenset(_as_index(f"query {i}'s target", j) for j in targets)
+    return sorted({_as_index(f"query {i}'s target", j) for j in targets})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GroundTruth:
     """For each query, the set of correct target indices.
 
     Synthetic data uses singletons; multi-target sets cover datasets with
     several captions per item, scored by the best-ranked one.
+
+    The sets are stored as two read-only int64 arrays, built once when the
+    ground truth is made: ``targets`` holds every query's targets, each
+    query's ascending and without duplicates, and query i's are
+    ``targets[starts[i]:starts[i + 1]]``.  ``pairs``, the sets themselves,
+    is built from them on first read; scoring reads only the arrays.
     """
 
-    pairs: tuple[frozenset[int], ...]
+    targets: np.ndarray
+    starts: np.ndarray
 
-    def __post_init__(self):
-        entries = _iterate(self.pairs, "ground truth must be a collection of per-query target sets")
-        pairs = tuple(_targets(i, p) for i, p in enumerate(entries))
-        if not pairs:
+    def __init__(self, pairs):
+        entries = _iterate(pairs, "ground truth must be a collection of per-query target sets")
+        rows = [_targets(i, p) for i, p in enumerate(entries)]
+        if not rows:
             raise DataError("ground truth must cover at least one query")
-        for i, p in enumerate(pairs):
-            if not p:
+        for i, row in enumerate(rows):
+            if not row:
                 raise DataError(f"query {i} has no correct targets")
-            if min(p) < 0:
+            if row[0] < 0:
                 raise IndexOutOfRange(f"query {i} has a negative target index")
-            if max(p) > _MAX_INDEX:
-                raise IndexOutOfRange(f"query {i} references target {max(p)}, beyond int64")
-        object.__setattr__(self, "pairs", pairs)
+            if row[-1] > _MAX_INDEX:
+                raise IndexOutOfRange(f"query {i} references target {row[-1]}, beyond int64")
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum()))
+        self._hold(targets, np.concatenate(([0], np.cumsum(sizes))))
+
+    def _hold(self, targets: np.ndarray, starts: np.ndarray) -> "GroundTruth":
+        object.__setattr__(self, "targets", core._freeze(targets, dtype=np.int64, adopt=True))
+        object.__setattr__(self, "starts", core._freeze(starts, dtype=np.int64, adopt=True))
+        return self
 
     @classmethod
     def identity(cls, m: int) -> "GroundTruth":
-        return cls(tuple(frozenset((i,)) for i in range(_as_index("m", m))))
+        """Query i's one correct target is target i, for i < m."""
+        return cls.from_indices(np.arange(_as_index("m", m)))
 
     @classmethod
     def from_indices(cls, indices) -> "GroundTruth":
-        return cls(tuple((i,) for i in indices))
+        """Query i's one correct target is ``indices[i]``.
+
+        A 1-D integer array is checked whole; any other input is taken
+        element by element by the generic constructor.
+        """
+        if not (isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu"):
+            return cls(tuple((j,) for j in indices))
+        if indices.size == 0:
+            raise DataError("ground truth must cover at least one query")
+        bad = np.flatnonzero((indices < 0) | (indices > _MAX_INDEX))
+        if bad.size:
+            i = int(bad[0])
+            if indices[i] < 0:
+                raise IndexOutOfRange(f"query {i} has a negative target index")
+            raise IndexOutOfRange(f"query {i} references target {indices[i]}, beyond int64")
+        return cls.__new__(cls)._hold(indices.astype(np.int64), np.arange(indices.size + 1))
+
+    def _rows(self) -> list[list[int]]:
+        """Each query's targets, ascending, as a list of Python ints."""
+        values, starts = self.targets.tolist(), self.starts.tolist()
+        return [values[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+    @cached_property
+    def pairs(self) -> tuple[frozenset[int], ...]:
+        """Each query's set of correct target indices."""
+        return tuple(map(frozenset, self._rows()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.starts.size - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, GroundTruth):
+            return NotImplemented
+        return np.array_equal(self.starts, other.starts) and np.array_equal(self.targets, other.targets)
+
+    def __hash__(self):
+        return hash((self.starts.tobytes(), self.targets.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -95,14 +144,13 @@ def _truth_pairs(gt: GroundTruth, m: int, n: int) -> tuple[np.ndarray, np.ndarra
     ``(pair_rows, cols, starts)``, row i's pairs at ``starts[i]:starts[i + 1]``."""
     if len(gt) != m:
         raise ShapeMismatch(f"{len(gt)} ground-truth rows vs {m} score rows")
-    sizes = np.fromiter((len(p) for p in gt.pairs), dtype=np.int64, count=m)
-    cols = np.fromiter(chain.from_iterable(gt.pairs), dtype=np.int64, count=int(sizes.sum()))
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    bad = np.flatnonzero(cols >= n)
+    cols, starts = gt.targets, gt.starts
+    # each query's targets ascend, so its last is its largest
+    last = cols[starts[1:] - 1]
+    bad = np.flatnonzero(last >= n)
     if bad.size:
-        i = int(np.searchsorted(starts, bad[0], side="right")) - 1
-        raise IndexOutOfRange(f"query {i} references target {max(gt.pairs[i])} of {n}")
-    return np.repeat(np.arange(m), sizes), cols, starts
+        raise IndexOutOfRange(f"query {bad[0]} references target {last[bad[0]]} of {n}")
+    return np.repeat(np.arange(m), np.diff(starts)), cols, starts
 
 
 def best_rank(ranks: RankMatrix, gt: GroundTruth) -> np.ndarray:

@@ -68,8 +68,12 @@ def _rng(cfg: SynthConfig, stream: int) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+def _unit_rows(X: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """X with its rows scaled to unit norm, in place; ``spare`` (X's shape)
+    takes the squares.  The norms are ``np.linalg.norm(X, axis=1)``'s bits."""
+    np.multiply(X, X, out=spare)
+    X /= np.sqrt(np.add.reduce(spare, axis=1, keepdims=True))
+    return X
 
 
 def _gap_direction(cfg: SynthConfig) -> np.ndarray:
@@ -84,25 +88,35 @@ def _paired_cloud(
     gap_vec: np.ndarray,
     shift_vec: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of the paired process: returns (query rows, target rows)."""
+    """One draw of the paired process: returns (query rows, target rows).
+
+    The arithmetic runs in place, in three n x d buffers besides the pulled
+    hub rows, with the operands and draws in the order that fixes the bits.
+    """
     n, d = cfg.n_pairs, cfg.dim
-    raw = rng.standard_normal((n, d))
+    targets = rng.standard_normal((n, d))
+    spare = np.empty_like(targets)
     if d > 1:
         # target modality lives in the gap direction's orthogonal complement
-        raw = raw - np.outer(raw @ gap_dir, gap_dir)
-    targets = _unit_rows(raw + shift_vec)
+        targets -= np.multiply((targets @ gap_dir)[:, None], gap_dir, out=spare)
+    targets += shift_vec
+    _unit_rows(targets, spare)
     n_hubs = int(cfg.hub_fraction * n)
     hub_idx = rng.permutation(n)[:n_hubs]
     if n_hubs and cfg.hub_strength > 0.0:
         center = targets.mean(axis=0) + gap_vec + shift_vec
         norm = np.linalg.norm(center)
         centroid = center / norm if norm > 0.0 else gap_vec * 0.0 + targets[0]
-        pulled = (1.0 - cfg.hub_strength) * targets[hub_idx] + cfg.hub_strength * centroid
-        targets = targets.copy()
-        targets[hub_idx] = _unit_rows(pulled)
-    noise = cfg.noise_sigma * rng.standard_normal((n, d))
-    queries = _unit_rows(targets + noise + gap_vec + shift_vec)
-    return queries, targets
+        pulled = targets[hub_idx]
+        np.multiply(1.0 - cfg.hub_strength, pulled, out=pulled)
+        pulled += cfg.hub_strength * centroid
+        targets[hub_idx] = _unit_rows(pulled, spare[:n_hubs])
+    queries = rng.standard_normal((n, d))
+    np.multiply(cfg.noise_sigma, queries, out=queries)
+    np.add(targets, queries, out=queries)
+    queries += gap_vec
+    queries += shift_vec
+    return _unit_rows(queries, spare), targets
 
 
 def generate_paired(cfg: SynthConfig) -> tuple[EmbeddingSet, EmbeddingSet, GroundTruth]:

@@ -401,6 +401,19 @@ class TestDiagnosticsCommands:
         value = float(capsys.readouterr().out.strip())
         assert np.isfinite(value) and value >= 0
 
+    def test_emd_cosine_cost_refuses_a_zero_row(self, tmp_path, capsys):
+        rows = np.random.default_rng(65).standard_normal((4, 4))
+        rows[1] = 0.0
+        hk.write_embeddings(hk.EmbeddingSet(rows), tmp_path / "z.emb")
+        hk.write_embeddings(hk.EmbeddingSet(np.eye(4)), tmp_path / "e.emb")
+        emd = ["emd", "--x", str(tmp_path / "z.emb"), "--y", str(tmp_path / "e.emb"), "--subsample", "4"]
+        assert main(emd) == 0  # the Euclidean cost takes a zero row
+        capsys.readouterr()
+        assert main([*emd, "--cost", "one_minus_cosine"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "row 1 is a zero vector" in err
+
     def test_sweep_tau_table(self, tmp_path):
         assert main(_synth_args(tmp_path, pairs=50, dim=8)) == 0
         assert main([

@@ -21,6 +21,7 @@ from hubkit import (
     SinkhornConfig,
     SynthConfig,
     ZeroVarianceWarning,
+    ZeroVectorRow,
     cosine_similarity_matrix,
     emd,
     generate_paired,
@@ -199,6 +200,19 @@ class TestEmd:
         Y = EmbeddingSet(2.0 * X.data, role=Role.TARGET)  # same directions
         cfg = EmdConfig(subsample=20, repeats=1, ground_cost="one_minus_cosine")
         assert emd(X, Y, cfg) <= 1e-9
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_cosine_cost_refuses_a_zero_row_before_any_draw(self, side, monkeypatch):
+        rng = np.random.default_rng(54)
+        data = {"X": rng.standard_normal((4, 4)), "Y": rng.standard_normal((4, 4))}
+        data[side][2] = 0.0
+        X, Y = EmbeddingSet(data["X"]), EmbeddingSet(data["Y"], role=Role.TARGET)
+        assert np.isfinite(emd(X, Y, EmdConfig(subsample=4, repeats=2)))  # the Euclidean cost takes it
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
+        with pytest.raises(ZeroVectorRow, match="row 2 is a zero vector"):
+            emd(X, Y, EmdConfig(subsample=4, repeats=2, ground_cost="one_minus_cosine"))
+        assert draws == []
 
     def test_dim_mismatch(self):
         X = EmbeddingSet(np.ones((2, 3)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hubkit import core, retrieval
+from hubkit import core, errors, retrieval
 from hubkit import (
     DataError,
     GroundTruth,
@@ -97,6 +97,123 @@ class TestGroundTruth:
         GroundTruth.from_indices([2**63 - 1])
         with pytest.raises(IndexOutOfRange, match="query 2"):
             best_rank(_ranks(np.eye(3)), GroundTruth(({0}, {1}, {2**70})))
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _outcome(make):
+    """The pairs and length of ``make()``'s ground truth, or the class and
+    message of what it raised."""
+    try:
+        gt = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return gt.pairs, len(gt)
+
+
+@st.composite
+def index_sequences(draw, n: int):
+    """One target index below n per query, as an integer array of any
+    width (a view, at times), a list of ints or of numpy scalars, or a range."""
+    values = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    form = draw(st.sampled_from(["array", "view", "ints", "numpy scalars", "range"]))
+    if form == "array":
+        return values, np.array(values, dtype=dtype)
+    if form == "view":
+        return values, np.repeat(np.array(values, dtype=dtype), 2)[::2]
+    if form == "numpy scalars":
+        return values, [dtype(j) for j in values]
+    if form == "range":
+        start = draw(st.integers(0, n - 1))
+        indices = range(start, n, draw(st.integers(1, 3)))
+        return list(indices), indices
+    return values, values
+
+
+@st.composite
+def index_inputs(draw):
+    """What a caller might pass as one index per query, valid or not:
+    integer, float and bool arrays of 0 to 2 dims (empty ones too), lists of
+    ints beyond either end of int64, floats or bools, and ranges."""
+    wild_ints = st.integers(-(2**70), 2**70)
+    kind = draw(st.sampled_from(["array", "list", "range"]))
+    if kind == "array":
+        dtype = draw(st.sampled_from([*INT_DTYPES, np.float64, np.float32, np.bool_]))
+        shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4))
+        return draw(hnp.arrays(dtype, shape))
+    if kind == "range":
+        return range(draw(st.integers(-3, 3)), draw(st.integers(-3, 6)))
+    element = st.one_of(
+        st.integers(0, 5), wild_ints, st.just(2**63 - 1), st.just(2**63), st.floats(-3, 3), st.booleans(),
+        st.sampled_from([np.True_, np.float64(1.0), np.uint64(2**64 - 1), np.int8(-1)]),
+    )
+    return draw(st.lists(element, max_size=4))
+
+
+class TestGroundTruthFromArrays:
+    """identity and from_indices check index arrays with numpy, and must
+    give what the generic constructor gives for the same targets."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_truth_and_scores_as_the_generic_constructor(self, data):
+        n = data.draw(st.integers(1, 12))
+        values, indices = data.draw(index_sequences(n))
+        size = data.draw(st.integers(1, 12))
+        m = data.draw(st.sampled_from([int, *INT_DTYPES]))(size)
+        cols = max(n, size)
+        V = data.draw(hnp.arrays(np.float64, (max(len(values), size), cols), elements=TIE_VALUES))
+        for gt, targets in ((GroundTruth.from_indices(indices), values), (GroundTruth.identity(m), range(size))):
+            generic = GroundTruth(tuple(frozenset({j}) for j in targets))
+            assert gt.pairs == generic.pairs and len(gt) == len(generic)
+            assert gt == generic and hash(gt) == hash(generic)
+            assert all(type(j) is int for p in gt.pairs for j in p)
+            S = SimilarityMatrix(V[: len(gt)])
+            assert evaluate(S, gt, [1, cols]) == evaluate(S, generic, [1, cols])
+            ranks = row_argsort_desc(S)
+            np.testing.assert_array_equal(best_rank(ranks, gt), best_rank(ranks, generic))
+
+    @given(indices=index_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_from_indices_accepts_and_refuses_as_singletons_do(self, indices):
+        # the reference: one singleton entry per index, through the generic constructor
+        assert _outcome(lambda: GroundTruth.from_indices(indices)) == _outcome(
+            lambda: GroundTruth(tuple((i,) for i in indices))
+        )
+
+    @given(m=st.one_of(
+        st.integers(-3, 20), st.booleans(), st.floats(-3, 20), st.text(max_size=2), st.none(),
+        st.sampled_from([np.True_, np.float64(2.0), np.int8(3), np.uint64(0)]),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_identity_accepts_and_refuses_as_its_sets_do(self, m):
+        assert _outcome(lambda: GroundTruth.identity(m)) == _outcome(
+            lambda: GroundTruth(tuple(frozenset((i,)) for i in range(errors._as_index("m", m))))
+        )
+
+    def test_scoring_never_builds_the_sets(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(GroundTruth, "pairs", property(reads.append))
+        S = SimilarityMatrix(np.random.default_rng(59).uniform(-1, 1, (4, 5)))
+        ranks = row_argsort_desc(S)
+        for gt in (
+            GroundTruth.identity(4),
+            GroundTruth.from_indices(np.array([4, 0, 2, 2], dtype=np.uint8)),
+            GroundTruth(({0, 3}, {1}, {4, 2, 0}, {3})),
+        ):
+            evaluate(S, gt, [1, 3])
+            best_rank(ranks, gt)
+        assert reads == []
+
+    def test_arrays_are_read_only_and_the_callers_array_is_not_held(self):
+        indices = np.array([2, 0, 1])
+        gt = GroundTruth.from_indices(indices)
+        indices[0] = 1
+        assert gt.pairs == (frozenset({2}), frozenset({0}), frozenset({1}))
+        for arr in (gt.targets, gt.starts):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 class TestBestRank:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubkit import (
     DataError,
@@ -23,7 +25,7 @@ from hubkit import (
     row_argsort_desc,
     skewness,
 )
-from hubkit import core
+from hubkit import core, synth
 
 
 def _skew(S):
@@ -32,6 +34,44 @@ def _skew(S):
 
 def _r1(S, gt):
     return evaluate(S, gt, [1]).r_at[1]
+
+
+def _reference_paired_cloud(cfg, rng, gap_dir, gap_vec, shift_vec):
+    """The paired draw computed out of place, one new array per operation:
+    the bits that the in-place ``synth._paired_cloud`` must give."""
+
+    def unit_rows(X):
+        return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+    n, d = cfg.n_pairs, cfg.dim
+    raw = rng.standard_normal((n, d))
+    if d > 1:
+        raw = raw - np.outer(raw @ gap_dir, gap_dir)
+    targets = unit_rows(raw + shift_vec)
+    n_hubs = int(cfg.hub_fraction * n)
+    hub_idx = rng.permutation(n)[:n_hubs]
+    if n_hubs and cfg.hub_strength > 0.0:
+        center = targets.mean(axis=0) + gap_vec + shift_vec
+        norm = np.linalg.norm(center)
+        centroid = center / norm if norm > 0.0 else gap_vec * 0.0 + targets[0]
+        pulled = (1.0 - cfg.hub_strength) * targets[hub_idx] + cfg.hub_strength * centroid
+        targets = targets.copy()
+        targets[hub_idx] = unit_rows(pulled)
+    noise = cfg.noise_sigma * rng.standard_normal((n, d))
+    queries = unit_rows(targets + noise + gap_vec + shift_vec)
+    return queries, targets
+
+
+def _four_sets(cfg):
+    """The arrays of generate_paired's and generate_banks' sets, or the class
+    of what either raised (a zero row's 0/0 warns, or is refused as NaN)."""
+    try:
+        return [X.data for X in (*generate_paired(cfg)[:2], *generate_banks(cfg))]
+    except (RuntimeWarning, DataError) as exc:
+        return type(exc)
+
+
+UNIT_OR_ENDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestGeneratePaired:
@@ -71,6 +111,29 @@ class TestGeneratePaired:
         B2 = generate_banks(cfg)
         assert np.array_equal(B1[0].data, B2[0].data)
         assert np.array_equal(B1[1].data, B2[1].data)
+
+    @given(
+        dim=st.integers(1, 40),
+        n_pairs=st.integers(1, 60),
+        hub_fraction=UNIT_OR_ENDS,
+        hub_strength=UNIT_OR_ENDS,
+        noise_sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        gap_magnitude=st.floats(0.0, 2.0),
+        bank_shift=st.floats(0.0, 2.0, exclude_min=True),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_the_out_of_place_draw(self, **magnitudes):
+        cfg = SynthConfig(**magnitudes)
+        got = _four_sets(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth, "_paired_cloud", _reference_paired_cloud)
+            want = _four_sets(cfg)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert len(got) == len(want) == 4
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_generated_sets_are_adopted_not_copied(self, monkeypatch):
         frozen, freeze = [], core._freeze

@@ -8,9 +8,11 @@ matrices (queries, query bank and target bank against the targets, and the
 query bank against the target bank), ``normalize`` with every method and
 every bank form (``sn`` and ``dbsn`` at three temperatures, ``hn`` also
 with ``--hn-literal``), ``evaluate --skew-k 10`` and ``diagnose`` on each
-output, then ``sweep-tau`` and ``banksweep``.  It prints one
-``<sha256>  <file>`` line per output, sorted by name, so two source trees
-can be compared with ``diff``.  A failing command stops the run.
+output, then ``sweep-tau`` and ``banksweep``, and ``emd`` of the query
+bank against the targets with each ``--cost``, its printed value saved as
+``emd_<cost>.txt``.  It prints one ``<sha256>  <file>`` line per output,
+sorted by name, so two source trees can be compared with ``diff``.  A
+failing command stops the run.
 """
 
 import argparse
@@ -38,6 +40,12 @@ for _tau in ("0.01", "0.005", "0.002"):
     _NORMALIZE[f"sn_{_tau}"] = ["--method", "sn", "--tau", _tau]
     _NORMALIZE[f"sn_bank_{_tau}"] = ["--method", "sn", "--tau", _tau, *_BANK]
     _NORMALIZE[f"dbsn_{_tau}"] = ["--method", "dbsn", "--tau", _tau, *_BANK, "--bank-bank-sim", "bq_bt.sim"]
+
+#: commands whose standard output is their result: file it is saved to -> arguments.
+_PRINTED = {
+    f"emd_{cost}.txt": ["emd", "--x", "bq.emb", "--y", "t.emb", "--cost", cost]
+    for cost in ("euclidean", "one_minus_cosine")
+}
 
 
 def _pipeline() -> list[list[str]]:
@@ -70,6 +78,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         for run in _pipeline():
             subprocess.run([sys.executable, "-m", "hubkit.cli", *run], cwd=work, env=env, check=True)
+        for name, run in _PRINTED.items():
+            with open(Path(work) / name, "wb") as out:
+                subprocess.run([sys.executable, "-m", "hubkit.cli", *run], cwd=work, env=env, check=True, stdout=out)
         for path in sorted(Path(work).iterdir()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0
