@@ -8,11 +8,17 @@ and two-bank variants) or by entropic optimal transport over the matrix
 plus exact-marginal, Euclidean, and assignment-based alternatives used as
 reference points.  Diagnostics quantify hubness before and after.
 
-Importing the package applies ``HUBKIT_THREADS`` (a positive integer) as the
-default thread count of the BLAS/OpenMP pools before numpy loads; a pool
-variable that is already set wins.  Once numpy has been imported the pools
-are fixed, so the cap reaches BLAS only when hubkit is imported first.
-scipy is imported by the few functions that call it, not by the package.
+hubkit owns its threads: its one block pool (see ``core``) runs ranking,
+the normalizers' passes, the cosine GEMM and the EMD repeats, on up to
+``HUBKIT_THREADS`` threads (a positive integer; unset, one per available
+CPU).  Importing the package sets numpy's OpenBLAS to one thread at run
+time, whatever ``OPENBLAS_NUM_THREADS`` says and whether or not numpy was
+imported first, so no result depends on the BLAS thread count; it does
+nothing when numpy's BLAS is not OpenBLAS.  Before numpy loads, the import
+also applies ``HUBKIT_THREADS`` as the default thread count of the
+BLAS/OpenMP pool variables that other libraries read; a pool variable that
+is already set wins.  scipy is imported by the few functions that call it,
+not by the package.
 """
 
 
@@ -44,6 +50,7 @@ from .core import (
     RankMatrix,
     Role,
     SimilarityMatrix,
+    _pin_blas,
     cosine_similarity_matrix,
     l2_normalize,
     row_argsort_desc,
@@ -109,6 +116,8 @@ from .sinkhorn import (
 )
 from .synth import SynthConfig, generate_banks, generate_paired
 from .variants import hn, hn_normalize, l2n, otn, sparsity
+
+_pin_blas()
 
 __version__ = "0.1.0"
 

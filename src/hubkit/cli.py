@@ -267,7 +267,12 @@ def _cmd_emd(args) -> int:
     cfg = diagnostics.EmdConfig(
         subsample=args.subsample, repeats=args.repeats, seed=args.seed, ground_cost=args.cost
     )
-    print(f"{diagnostics.emd(X, Y, cfg):.10g}")
+    try:
+        gap = diagnostics.emd(X, Y, cfg)
+    except errors.ZeroVectorRow as exc:
+        files = {"X": f"--x file {args.x}", "Y": f"--y file {args.y}"}
+        raise errors.ZeroVectorRow(exc.row, files[exc.where]) from None
+    print(f"{gap:.10g}")
     return 0
 
 

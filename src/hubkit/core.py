@@ -17,8 +17,18 @@ Every m x n pass that runs in parts, ranking and evaluation as well as the
 normalizers' passes, is split here into row blocks or column slabs for one
 process-wide block pool (:func:`_in_row_blocks`, :func:`_in_column_slabs`),
 by the shape alone, so every result is the same for any thread count.
+
+The block pool is hubkit's only parallelism, capped by ``HUBKIT_THREADS``.
+Importing the package sets every loaded OpenBLAS, numpy's among them, to one
+thread (:func:`_pin_blas`), whatever ``OPENBLAS_NUM_THREADS`` says and
+whichever of numpy and hubkit was imported first: a threaded OpenBLAS rounds
+mat-vec row sums by its thread count, and its idle threads spin against the
+pool's.  Work the pool shares out by thread count keeps the bits of one
+call: the cosine GEMM's column slabs (see :func:`cosine_similarity_matrix`)
+and the EMD repeats, which are added in repeat order.
 """
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -204,11 +214,40 @@ def l2_normalize(raw: np.ndarray) -> EmbeddingSet:
     return EmbeddingSet(data / norms[:, None], _adopt=True)
 
 
+#: Least multiply-adds and least columns of one column slab of the cosine
+#: GEMM, and the multiple of columns every slab edge falls on.  OpenBLAS
+#: computes the last few columns of a panel (a remainder of its unroll width)
+#: with other kernels, whose bits depend on where the panel lies in the call.
+#: Slab edges on 64 columns leave only the last slab such a remainder, and a
+#: last slab of 1024 columns or more is wider than one panel (192 columns
+#: for OpenBLAS 0.3.31's AVX-512 double kernels, measured), so every column
+#: goes through the same kernels as in one call over the whole matrix.
+_GEMM_SLAB_MADDS = 1 << 23
+_GEMM_SLAB_COLS = 1024
+_GEMM_SLAB_ALIGN = 64
+
+
 def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatrix:
-    """Inner products of every Q row with every T row (cosine for unit rows)."""
+    """Inner products of every Q row with every T row (cosine for unit rows).
+
+    The bits are those of one ``Q.data @ T.data.T``.  A product large enough
+    for two slabs (see ``_GEMM_SLAB_MADDS``) runs as column slabs
+    ``out[:, c] = Q @ T[c].T``, one per block group of the block pool; each
+    is one single-threaded BLAS call.
+    """
     if Q.dim != T.dim:
         raise DimMismatch(Q.dim, T.dim)
-    return SimilarityMatrix(Q.data @ T.data.T, row_role=Q.role, col_role=T.role, _adopt=True)
+    m, n = Q.count, T.count
+    slabs = max(1, min(_ranking_threads(), m * n * Q.dim // _GEMM_SLAB_MADDS, n // _GEMM_SLAB_COLS))
+    edges = [0, *(n * k // slabs // _GEMM_SLAB_ALIGN * _GEMM_SLAB_ALIGN for k in range(1, slabs)), n]
+    out = np.empty((m, n))
+
+    def slab(k):
+        c = slice(edges[k], edges[k + 1])
+        np.matmul(Q.data, T.data[c].T, out=out[:, c])
+
+    _run_blocks(slab, range(slabs), slabs)
+    return SimilarityMatrix(out, row_role=Q.role, col_role=T.role, _adopt=True)
 
 
 #: Target size of one row block of the ranking functions, in values (its
@@ -229,9 +268,9 @@ def _pass_rows(n: int) -> int:
 
 
 def _ranking_threads() -> int:
-    """Block groups that ranking and the normalizers' m x n passes run at
-    once: ``HUBKIT_THREADS`` if positive, capped at the CPUs this process may
-    run on (all of them when unset)."""
+    """Block groups that any work on the block pool runs at once:
+    ``HUBKIT_THREADS`` if positive, capped at the CPUs this process may run
+    on (all of them when unset)."""
     cap, cpus = _thread_cap(), _cpus()
     return min(cap, cpus) if cap > 0 else cpus
 
@@ -248,7 +287,8 @@ _pool_lock = threading.Lock()
 def _ranking_pool() -> ThreadPoolExecutor:
     """The process's one block pool, started on first use with a thread per
     CPU the process may run on.  Named for its first user: it runs every
-    block and slab of :func:`_in_row_blocks` and :func:`_in_column_slabs`."""
+    block and slab of :func:`_in_row_blocks` and :func:`_in_column_slabs`,
+    the cosine GEMM's slabs and the EMD repeats."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -264,6 +304,63 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _loaded_libraries() -> list[str]:
+    """Paths of the shared libraries loaded in this process, from the C
+    library's ``dl_iterate_phdr``; none where there is no such call."""
+
+    class Info(ctypes.Structure):
+        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+    paths = []
+
+    def visit(info, size, data):
+        if info.contents.name:
+            paths.append(os.fsdecode(info.contents.name))
+        return 0
+
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, OSError, TypeError):
+        return []
+    iterate(ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(Info), ctypes.c_size_t, ctypes.c_void_p)(visit), None)
+    return paths
+
+
+def _openblas_libraries() -> list:
+    """The OpenBLAS libraries loaded in this process (numpy's among them when
+    numpy uses OpenBLAS), as ctypes handles; one that cannot be opened again
+    by its path is left out."""
+    libs = []
+    for path in _loaded_libraries():
+        if "openblas" in os.path.basename(path).lower():
+            try:
+                libs.append(ctypes.CDLL(path))
+            except OSError:
+                pass
+    return libs
+
+
+def _openblas_call(lib, name: str):
+    """``openblas_<name>`` in ``lib`` under any of its exported spellings
+    (numpy's and scipy's wheels prefix it ``scipy_``, and the 64-bit-integer
+    build suffixes it ``64_``), or None."""
+    for symbol in (f"openblas_{name}", f"scipy_openblas_{name}64_", f"scipy_openblas_{name}", f"openblas_{name}64_"):
+        call = getattr(lib, symbol, None)
+        if call is not None:
+            return call
+    return None
+
+
+def _pin_blas() -> None:
+    """Set every loaded OpenBLAS to one thread, whatever its environment
+    variables said, so the block pool is the process's only parallelism.
+    Nothing happens where no OpenBLAS is loaded."""
+    for lib in _openblas_libraries():
+        setter = _openblas_call(lib, "set_num_threads")
+        if setter is not None:
+            setter(1)
 
 
 def _run_blocks(work, starts, groups: int) -> None:

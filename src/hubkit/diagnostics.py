@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import EmbeddingSet, RankMatrix, _freeze, l2_normalize
-from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning, _as_index
+from .errors import DataError, DimMismatch, KOutOfRange, ZeroVarianceWarning, ZeroVectorRow, _as_index
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,23 @@ def _ground_cost(X: np.ndarray, Y: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - X @ Y.T
 
 
+def _unit_rows(E: EmbeddingSet, name: str) -> np.ndarray:
+    """E's rows scaled to unit norm; a zero row is refused as a row of ``name``."""
+    try:
+        return l2_normalize(E.data).data
+    except ZeroVectorRow as exc:
+        raise ZeroVectorRow(exc.row, name) from None
+
+
 def emd(X: EmbeddingSet, Y: EmbeddingSet, cfg: EmdConfig = EmdConfig()) -> float:
     """Average per-point optimal-assignment cost between subsamples of X and Y.
 
     Each assignment is solved exactly by scipy's ``linear_sum_assignment``.
-    The cosine ground cost has no value at a zero row: one in X or Y is
-    refused (ZeroVectorRow) before any draw.
+    The repeats run on the block pool, each from its own ``(seed, repeat)``
+    stream, and their costs are added in repeat order, so the value does not
+    depend on the thread count.  The cosine ground cost has no value at a
+    zero row: one in X or Y is refused (ZeroVectorRow, naming the set)
+    before any draw.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -114,14 +126,20 @@ def emd(X: EmbeddingSet, Y: EmbeddingSet, cfg: EmdConfig = EmdConfig()) -> float
     Xs, Ys = X.data, Y.data
     if cfg.ground_cost == "one_minus_cosine":
         # a row's norm does not depend on the rows drawn with it: normalize once
-        Xs, Ys = l2_normalize(Xs).data, l2_normalize(Ys).data
+        Xs, Ys = _unit_rows(X, "X"), _unit_rows(Y, "Y")
     size = min(cfg.subsample, X.count, Y.count)
-    total = 0.0
-    for repeat in range(cfg.repeats):
-        rng = np.random.default_rng((cfg.seed, repeat))
+    costs = [0.0] * cfg.repeats
+
+    def repeat(r):
+        rng = np.random.default_rng((cfg.seed, r))
         xi = rng.choice(X.count, size=size, replace=False)
         yi = rng.choice(Y.count, size=size, replace=False)
         cost = _ground_cost(Xs[xi], Ys[yi], cfg.ground_cost)
         rows, cols = linear_sum_assignment(cost)
-        total += float(cost[rows, cols].sum()) / size
+        costs[r] = float(cost[rows, cols].sum()) / size
+
+    core._run_blocks(repeat, range(cfg.repeats), core._ranking_threads())
+    total = 0.0
+    for c in costs:  # in repeat order, one rounding each (sum() compensates from Python 3.12)
+        total += c
     return total / cfg.repeats

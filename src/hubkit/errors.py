@@ -24,11 +24,14 @@ class NonFiniteInput(DataError):
 
 
 class ZeroVectorRow(DataError):
-    """A row that must be normalizable is the zero vector."""
+    """A row that must be normalizable is the zero vector; ``where`` names
+    the set or file that holds it, when the caller knows."""
 
-    def __init__(self, row: int):
+    def __init__(self, row: int, where: str | None = None):
         self.row = row
-        super().__init__(f"row {row} is a zero vector and cannot be normalized")
+        self.where = where
+        prefix = "" if where is None else f"{where}: "
+        super().__init__(f"{prefix}row {row} is a zero vector and cannot be normalized")
 
 
 class DimMismatch(DataError):

@@ -80,11 +80,12 @@ class GroundTruth:
     def from_indices(cls, indices) -> "GroundTruth":
         """Query i's one correct target is ``indices[i]``.
 
-        A 1-D integer array is checked whole; any other input is taken
-        element by element by the generic constructor.
+        A 1-D integer array is checked whole; any other collection is taken
+        element by element by the generic constructor, and anything else is
+        refused with DataError.
         """
         if not (isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu"):
-            return cls(tuple((j,) for j in indices))
+            return cls(tuple((j,) for j in _iterate(indices, "indices must be a collection of target indices")))
         if indices.size == 0:
             raise DataError("ground truth must cover at least one query")
         bad = np.flatnonzero((indices < 0) | (indices > _MAX_INDEX))

@@ -10,7 +10,9 @@ Balancing carries log scalings against anchors that absorb them (Schmitzer
 two passes over one kernel buffer per sweep, whose entries never exceed 1,
 so the e^100 scale of ``exp(S / tau)`` at tau = 0.01 is never formed; sums
 that underflow are redone as exact log-sum-exps.  The row update is one
-BLAS mat-vec ``K @ w``.  The kernel build and the plan run in the row
+BLAS mat-vec ``K @ w`` on the calling thread (hubkit keeps BLAS at one
+thread: a threaded mat-vec rounds a few row sums apart, and row slabs
+round by where they start).  The kernel build and the plan run in the row
 blocks of a normalizer pass, and the column update in its column slabs
 (:func:`core._in_row_blocks`, :func:`core._in_column_slabs`): each column
 adds its rows in one order whatever the slabs, so every result is the same

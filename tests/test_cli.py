@@ -414,6 +414,20 @@ class TestDiagnosticsCommands:
         assert out == ""
         assert "row 1 is a zero vector" in err
 
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_emd_zero_row_refusal_names_its_file(self, tmp_path, capsys, flag):
+        rows = np.vstack([np.eye(4), np.zeros((1, 4))])
+        hk.write_embeddings(hk.EmbeddingSet(rows), tmp_path / "z.emb")
+        hk.write_embeddings(hk.EmbeddingSet(np.eye(4)), tmp_path / "e.emb")
+        files = {"--x": "e.emb", "--y": "e.emb", flag: "z.emb"}
+        emd = ["emd", "--cost", "one_minus_cosine", "--subsample", "4"]
+        for option, name in files.items():
+            emd += [option, str(tmp_path / name)]
+        assert main(emd) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag} file {tmp_path / 'z.emb'}: row 4 is a zero vector" in err
+
     def test_sweep_tau_table(self, tmp_path):
         assert main(_synth_args(tmp_path, pairs=50, dim=8)) == 0
         assert main([
@@ -749,6 +763,57 @@ def _run_python(code: str, cwd, **env_vars) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+class TestBlasThreads:
+    """Importing hubkit leaves numpy's OpenBLAS one thread, so the block pool
+    is the only parallelism and no result depends on the BLAS thread count."""
+
+    _THREADS = """
+import json
+import numpy
+import hubkit
+from hubkit import core
+print(json.dumps([core._openblas_call(lib, "get_num_threads")() for lib in core._openblas_libraries()]))
+"""
+
+    @pytest.mark.parametrize("env_vars", [{"OPENBLAS_NUM_THREADS": "2"}, {"HUBKIT_THREADS": "2"}, {}])
+    def test_openblas_runs_one_thread_after_import(self, tmp_path, env_vars):
+        threads = json.loads(_run_python(self._THREADS, tmp_path, **env_vars))
+        if not threads:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert threads == [1] * len(threads)
+
+    def test_import_succeeds_without_openblas(self, tmp_path):
+        code = """
+import ctypes, importlib
+import hubkit
+from hubkit import core
+core._loaded_libraries = lambda: []  # no OpenBLAS loaded
+importlib.reload(hubkit)
+core._openblas_libraries = lambda: [ctypes.CDLL(None)]  # a library without OpenBLAS's calls
+importlib.reload(hubkit)
+print(hubkit.cosine_similarity_matrix(hubkit.EmbeddingSet([[1.0]]), hubkit.EmbeddingSet([[2.0]])).values[0, 0])
+"""
+        assert _run_python(code, tmp_path).split() == ["2.0"]
+
+    # bank-stream's DBSN fit (its row update K @ w is 250 x 8250) and SN at
+    # 1100 x 1000, where a threaded OpenBLAS rounds a few row sums apart
+    _RESULTS = """
+import hashlib
+import numpy
+import hubkit as hk
+Q, T, _ = hk.generate_paired(hk.SynthConfig(dim=256, n_pairs=8000, seed=0))
+bq, bt = hk.generate_banks(hk.SynthConfig(dim=256, n_pairs=250, seed=0, bank_shift=0.1))
+h = hk.dbsn_hubness(hk.cosine_similarity_matrix(bq, T), hk.cosine_similarity_matrix(bq, bt))
+S = hk.cosine_similarity_matrix(hk.EmbeddingSet(Q.data[:1100]), hk.EmbeddingSet(T.data[:1000]))
+for values in (h.values, hk.sn_normalize(S).values):
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+    def test_results_do_not_depend_on_blas_threads(self, tmp_path):
+        one, two = (_run_python(self._RESULTS, tmp_path, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+        assert one.split() == two.split()
 
 
 class TestStartup:

@@ -112,6 +112,49 @@ class TestCosineSimilarity:
         S = cosine_similarity_matrix(Q, T)
         assert np.all(S.values <= 1.0 + 1e-12) and np.all(S.values >= -1.0 - 1e-12)
 
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @given(
+        m=st.integers(1, 40),
+        n=st.one_of(st.integers(0, 2500).map(lambda k: 2 * k + 1), st.just(8001)),
+        d=st.integers(1, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_column_slabs_keep_the_bits_of_one_product(self, threads, m, n, d, seed):
+        # with no least product size, every shape wide enough is slabbed
+        rng = np.random.default_rng(seed)
+        Q = EmbeddingSet(rng.standard_normal((m, d)))
+        T = EmbeddingSet(rng.standard_normal((n, d)), role=Role.TARGET)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_ranking_threads", lambda: threads)
+            mp.setattr(core, "_GEMM_SLAB_MADDS", 1)
+            S = cosine_similarity_matrix(Q, T)
+        assert np.array_equal(S.values, Q.data @ T.data.T)
+
+    def test_slabs_only_for_large_products(self, monkeypatch):
+        runs, run_blocks = [], core._run_blocks
+
+        def spy(work, starts, groups):
+            threads = set()
+            runs.append((len(starts), threads))
+
+            def traced(k):
+                threads.add(threading.get_ident())
+                work(k)
+
+            run_blocks(traced, starts, groups)
+
+        monkeypatch.setattr(core, "_run_blocks", spy)
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
+        rng = np.random.default_rng(6)
+        for m, n, d in ((64, 64, 16), (100, 8000, 256)):
+            Q = EmbeddingSet(rng.standard_normal((m, d)))
+            T = EmbeddingSet(rng.standard_normal((n, d)), role=Role.TARGET)
+            assert np.array_equal(cosine_similarity_matrix(Q, T).values, Q.data @ T.data.T)
+        small, large = runs
+        assert small == (1, {threading.get_ident()})
+        assert large[0] == 2 and len(large[1]) == 2 and threading.get_ident() in large[1]
+
 
 class TestRowArgsortDesc:
     def test_simple_order(self):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hubkit import core
 from hubkit import (
     DataError,
     DimMismatch,
@@ -213,6 +214,36 @@ class TestEmd:
         with pytest.raises(ZeroVectorRow, match="row 2 is a zero vector"):
             emd(X, Y, EmdConfig(subsample=4, repeats=2, ground_cost="one_minus_cosine"))
         assert draws == []
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_zero_row_refusal_names_its_set(self, side):
+        data = {"X": np.eye(4), "Y": np.eye(4)}
+        data[side] = np.vstack([np.eye(4), np.zeros((1, 4))])
+        X, Y = EmbeddingSet(data["X"]), EmbeddingSet(data["Y"], role=Role.TARGET)
+        with pytest.raises(ZeroVectorRow, match=f"^{side}: row 4 is a zero vector") as caught:
+            emd(X, Y, EmdConfig(subsample=4, ground_cost="one_minus_cosine"))
+        assert (caught.value.row, caught.value.where) == (4, side)
+
+    @pytest.mark.parametrize("cost", ["euclidean", "one_minus_cosine"])
+    def test_repeats_run_on_the_block_pool(self, cost, monkeypatch):
+        submitted, pool = [], core._ranking_pool
+
+        class SpyPool:
+            def submit(self, *call):
+                submitted.append(call)
+                return pool().submit(*call)
+
+        rng = np.random.default_rng(61)
+        X = EmbeddingSet(rng.standard_normal((70, 8)))
+        Y = EmbeddingSet(rng.standard_normal((90, 8)), role=Role.TARGET)
+        cfg = EmdConfig(subsample=16, repeats=5, seed=3, ground_cost=cost)
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 1)
+        alone = emd(X, Y, cfg)
+        assert submitted == []
+        monkeypatch.setattr(core, "_ranking_pool", SpyPool)
+        monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
+        # two groups: this thread runs one, the pool the other; same bits
+        assert emd(X, Y, cfg) == alone and len(submitted) == 1
 
     def test_dim_mismatch(self):
         X = EmbeddingSet(np.ones((2, 3)))

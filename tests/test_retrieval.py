@@ -183,6 +183,11 @@ class TestGroundTruthFromArrays:
             lambda: GroundTruth(tuple((i,) for i in indices))
         )
 
+    @pytest.mark.parametrize("indices", [5, None, np.array(3)], ids=["int", "None", "0-d array"])
+    def test_from_indices_refuses_what_is_not_a_collection(self, indices):
+        with pytest.raises(DataError, match="^indices must be a collection of target indices, got"):
+            GroundTruth.from_indices(indices)
+
     @given(m=st.one_of(
         st.integers(-3, 20), st.booleans(), st.floats(-3, 20), st.text(max_size=2), st.none(),
         st.sampled_from([np.True_, np.float64(2.0), np.int8(3), np.uint64(0)]),

@@ -1,5 +1,8 @@
 """Synthetic paired-modality generator and its bank draws."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +170,25 @@ class TestGeneratePaired:
     def test_non_numeric_magnitude_is_refused(self, name, value):
         with pytest.raises(DataError, match=f"{name} must be a real number"):
             SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["noise_sigma", "gap_magnitude", "bank_shift", "hub_fraction", "hub_strength"])
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5")], ids=["Fraction", "Decimal"])
+    def test_magnitude_numpy_cannot_compute_with_is_refused(self, name, value):
+        # float() takes these, but the draw computes with the value as given
+        with pytest.raises(DataError, match=f"{name} must be a real number numpy computes with"):
+            SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["noise_sigma", "gap_magnitude", "bank_shift", "hub_fraction", "hub_strength"])
+    @pytest.mark.parametrize("value", [np.float32(0.3), np.float16(0.7), 1, True, np.int8(0)],
+                             ids=["float32", "float16", "int", "bool", "int8"])
+    def test_numpy_and_python_numbers_keep_their_bits(self, name, value):
+        cfg = SynthConfig(dim=6, n_pairs=40, seed=8, **{name: value})
+        got = _four_sets(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth, "_paired_cloud", _reference_paired_cloud)
+            want = _four_sets(cfg)
+        assert len(got) == len(want) == 4
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize(
         "bad", [{"dim": 2.5}, {"n_pairs": 10.0}, {"n_pairs": "10"}, {"seed": 1.5}, {"seed": -1}]
