@@ -11,14 +11,15 @@ reference points.  Diagnostics quantify hubness before and after.
 hubkit owns its threads: its one block pool (see ``core``) runs ranking,
 the normalizers' passes, the cosine GEMM and the EMD repeats, on up to
 ``HUBKIT_THREADS`` threads (a positive integer; unset, one per available
-CPU).  Importing the package sets numpy's OpenBLAS to one thread at run
-time, whatever ``OPENBLAS_NUM_THREADS`` says and whether or not numpy was
-imported first, so no result depends on the BLAS thread count; it does
-nothing when numpy's BLAS is not OpenBLAS.  Before numpy loads, the import
-also applies ``HUBKIT_THREADS`` as the default thread count of the
-BLAS/OpenMP pool variables that other libraries read; a pool variable that
-is already set wins.  scipy is imported by the few functions that call it,
-not by the package.
+CPU).  Importing the package sets numpy's OpenBLAS, found through numpy's
+own extension module, to one thread at run time, whatever
+``OPENBLAS_NUM_THREADS`` says and whether or not numpy was imported first,
+so no result depends on the BLAS thread count; it does nothing when numpy's
+BLAS is not OpenBLAS.  Before numpy loads, the import also applies
+``HUBKIT_THREADS`` as the default thread count of the BLAS/OpenMP pool
+variables that other libraries read; a pool variable that is already set
+wins.  scipy is imported by the few functions that call it, not by the
+package.
 """
 
 

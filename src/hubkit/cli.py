@@ -16,16 +16,16 @@ Flag values out of range are usage errors: a non-positive --pairs, --dim,
 above the file's column count depends on the data and is a data error.
 Every subcommand is deterministic given its flags and seed.
 
-The environment variable HUBKIT_THREADS caps the thread pools of the
-numeric backends and the number of threads that run blocks on the process's
-one block pool (0 or unset = automatic: one thread per available CPU):
-ranking, evaluation, and the m x n passes of the Sinkhorn fit, its plan,
-``S + h`` and the inverted softmax.  Rows per block are set by the matrix's
-shape alone, and a pass of more than one row block that covers whole
-columns runs in column slabs instead, so every output is the same for any
-thread count.  Importing the hubkit package applies the BLAS cap, before
-numpy loads, so it holds for the library as well as here.  The other solver
-loops (otn, l2n, hn) do not use the pool.
+The environment variable HUBKIT_THREADS caps the number of threads that run
+blocks on the process's one block pool (0 or unset = automatic: one thread
+per available CPU): ranking, evaluation, the cosine GEMM, the EMD repeats,
+and the m x n passes of the Sinkhorn fit, its plan, ``S + h`` and the
+inverted softmax.  Rows per block are set by the matrix's shape alone, and
+a pass of more than one row block that covers whole columns runs in column
+slabs instead, so every output is the same for any thread count.  Importing
+the hubkit package pins numpy's OpenBLAS to one thread, so the pool is the
+only parallelism of numpy's calls, in the library as well as here.  The
+solver loops of otn, l2n and hn run on the calling thread.
 
 Only emd, banksweep, and normalize with --method otn, l2n, or hn import
 scipy; every other subcommand runs on numpy alone, which keeps process

@@ -19,9 +19,9 @@ process-wide block pool (:func:`_in_row_blocks`, :func:`_in_column_slabs`),
 by the shape alone, so every result is the same for any thread count.
 
 The block pool is hubkit's only parallelism, capped by ``HUBKIT_THREADS``.
-Importing the package sets every loaded OpenBLAS, numpy's among them, to one
-thread (:func:`_pin_blas`), whatever ``OPENBLAS_NUM_THREADS`` says and
-whichever of numpy and hubkit was imported first: a threaded OpenBLAS rounds
+Importing the package sets numpy's OpenBLAS to one thread
+(:func:`_pin_blas`), whatever ``OPENBLAS_NUM_THREADS`` says and whichever
+of numpy and hubkit was imported first: a threaded OpenBLAS rounds
 mat-vec row sums by its thread count, and its idle threads spin against the
 pool's.  Work the pool shares out by thread count keeps the bits of one
 call: the cosine GEMM's column slabs (see :func:`cosine_similarity_matrix`)
@@ -36,6 +36,11 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy before 2
+    from numpy.core import _multiarray_umath
 
 # The package defines the HUBKIT_THREADS parser before it imports numpy.
 from . import _thread_cap
@@ -175,7 +180,7 @@ class RankMatrix:
         order = np.asarray(self.order)
         if order.ndim != 2:
             raise ShapeMismatch(f"rank order must be 2-D, got shape {order.shape}")
-        targets = order.shape[1] if self.targets is None else int(self.targets)
+        targets = order.shape[1] if self.targets is None else _as_index("targets", self.targets)
         if targets < order.shape[1]:
             raise ShapeMismatch(f"rank rows of {order.shape[1]} columns over {targets} targets")
         if targets > _MAX_TARGETS:
@@ -306,40 +311,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _loaded_libraries() -> list[str]:
-    """Paths of the shared libraries loaded in this process, from the C
-    library's ``dl_iterate_phdr``; none where there is no such call."""
-
-    class Info(ctypes.Structure):
-        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-    paths = []
-
-    def visit(info, size, data):
-        if info.contents.name:
-            paths.append(os.fsdecode(info.contents.name))
-        return 0
-
-    try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-    except (AttributeError, OSError, TypeError):
-        return []
-    iterate(ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(Info), ctypes.c_size_t, ctypes.c_void_p)(visit), None)
-    return paths
-
-
-def _openblas_libraries() -> list:
-    """The OpenBLAS libraries loaded in this process (numpy's among them when
-    numpy uses OpenBLAS), as ctypes handles; one that cannot be opened again
-    by its path is left out."""
-    libs = []
-    for path in _loaded_libraries():
-        if "openblas" in os.path.basename(path).lower():
-            try:
-                libs.append(ctypes.CDLL(path))
-            except OSError:
-                pass
-    return libs
+def _numpy_blas():
+    """A ctypes handle on ``_multiarray_umath``, the extension module that
+    makes numpy's BLAS calls: a symbol looked up through it is also sought
+    in the libraries it links, numpy's BLAS among them."""
+    return ctypes.CDLL(_multiarray_umath.__file__)
 
 
 def _openblas_call(lib, name: str):
@@ -354,13 +330,16 @@ def _openblas_call(lib, name: str):
 
 
 def _pin_blas() -> None:
-    """Set every loaded OpenBLAS to one thread, whatever its environment
-    variables said, so the block pool is the process's only parallelism.
-    Nothing happens where no OpenBLAS is loaded."""
-    for lib in _openblas_libraries():
-        setter = _openblas_call(lib, "set_num_threads")
-        if setter is not None:
-            setter(1)
+    """Set numpy's OpenBLAS to one thread, whatever its environment variables
+    said, so the block pool is the process's only parallelism.  Nothing
+    happens where numpy's BLAS is not OpenBLAS or its module cannot be
+    opened."""
+    try:
+        setter = _openblas_call(_numpy_blas(), "set_num_threads")
+    except (AttributeError, OSError):
+        return
+    if setter is not None:
+        setter(1)
 
 
 def _run_blocks(work, starts, groups: int) -> None:

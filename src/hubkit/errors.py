@@ -7,6 +7,8 @@ both families to exit code 2.
 
 import operator
 
+import numpy as np
+
 
 class HubkitError(Exception):
     """Base class for all hubkit errors."""
@@ -102,13 +104,15 @@ def _as_index(name: str, value) -> int:
 
 
 def _as_real(name: str, value) -> float:
-    """``value`` as a float if ``float()`` takes it and it is not text, else DataError."""
-    if not isinstance(value, (str, bytes)):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise DataError(f"{name} must be a real number, got {value!r}")
+    """``value`` as a float if it is a real number numpy computes with (a 0-d
+    bool, integer or float, Python or numpy), else DataError."""
+    try:
+        arr = np.asarray(value)
+        if arr.ndim == 0 and arr.dtype.kind in "biuf":
+            return float(arr)
+    except (TypeError, ValueError):
+        pass
+    raise DataError(f"{name} must be a real number numpy computes with, got {value!r}")
 
 
 class FileFormatError(HubkitError, IOError):

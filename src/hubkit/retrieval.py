@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .core import RankMatrix, SimilarityMatrix
-from .errors import DataError, IndexOutOfRange, ShapeMismatch, _as_index
+from .errors import DataError, IndexOutOfRange, KOutOfRange, ShapeMismatch, _as_index
 
 #: Largest target index a ground truth can hold: its targets are stored in int64.
 _MAX_INDEX = np.iinfo(np.int64).max
@@ -225,8 +225,9 @@ def evaluate(
     Ks = [_as_index("K", k) for k in _iterate(Ks, "Ks must be a collection of integers")]
     if not Ks:
         raise DataError("Ks must be nonempty")
-    if any(k < 1 or k > S.cols for k in Ks):
-        raise DataError(f"each K must lie in 1..{S.cols}, got {Ks}")
+    for k in Ks:
+        if not 1 <= k <= S.cols:
+            raise KOutOfRange(k, S.cols)
     br = _count_best_ranks(S.values, gt)
     r_at = {k: float(100.0 * np.mean(br <= k)) for k in Ks}
     mdr = float(np.sort(br)[(br.size - 1) // 2])

@@ -37,17 +37,6 @@ _STREAM_PAIRED = 1
 _STREAM_BANKS = 2
 
 
-def _magnitude(name: str, value) -> float:
-    """``value`` as a float for a range check.  :class:`SynthConfig` keeps
-    its fields as given, so only a number numpy computes with (a Python or
-    numpy bool, integer or float) is taken; anything else that ``float()``
-    takes, such as a Fraction, is refused with DataError."""
-    real = _as_real(name, value)
-    if np.asarray(value).dtype.kind not in "biuf":
-        raise DataError(f"{name} must be a real number numpy computes with, got {value!r}")
-    return real
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator settings; see module docstring for the magnitude convention."""
@@ -66,12 +55,12 @@ class SynthConfig:
             raise DataError("dim and n_pairs must be positive")
         if _as_index("seed", self.seed) < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        if not all(0 <= _magnitude(name, getattr(self, name)) < np.inf
+        if not all(0 <= _as_real(name, getattr(self, name)) < np.inf
                    for name in ("noise_sigma", "gap_magnitude", "bank_shift")):
             raise DataError("noise_sigma, gap_magnitude, bank_shift must be finite and nonnegative")
-        if not 0.0 <= _magnitude("hub_fraction", self.hub_fraction) <= 1.0:
+        if not 0.0 <= _as_real("hub_fraction", self.hub_fraction) <= 1.0:
             raise DataError(f"hub_fraction must lie in [0,1], got {self.hub_fraction}")
-        if not 0.0 <= _magnitude("hub_strength", self.hub_strength) <= 1.0:
+        if not 0.0 <= _as_real("hub_strength", self.hub_strength) <= 1.0:
             raise DataError(f"hub_strength must lie in [0,1], got {self.hub_strength}")
 
 

@@ -533,6 +533,10 @@ class TestContainers:
         assert row_topk_desc(SimilarityMatrix(np.eye(4)), 2).targets == 4
         with pytest.raises(ShapeMismatch):
             RankMatrix(np.array([[1, 0, 2]]), targets=2)
+        for targets in (7.9, "9"):
+            with pytest.raises(DataError, match="targets must be an integer"):
+                RankMatrix(np.array([[1, 0, 2]]), targets=targets)
+        assert RankMatrix(np.array([[1, 0, 2]]), targets=np.int64(4)).targets == 4
 
     def test_library_results_are_not_copied(self, monkeypatch, tmp_path):
         """Fresh results are frozen in place: no second m x n buffer."""

@@ -81,6 +81,8 @@ class TestKOccurrence:
             k_occurrence(_ranks(np.eye(4)), k=5)
         with pytest.raises(KOutOfRange):
             k_occurrence(_ranks(np.eye(4)), k=0)
+        with pytest.raises(KOutOfRange):
+            KOccurrence(k=0, counts=np.array([1, 2]))
 
     def test_rejects_negative_counts(self):
         with pytest.raises(DataError):
@@ -258,7 +260,7 @@ class TestEmd:
             EmdConfig(ground_cost="manhattan")
 
     @pytest.mark.parametrize(
-        "bad", [{"subsample": 2.5}, {"repeats": 2.0}, {"seed": 0.5}, {"seed": -1}]
+        "bad", [{"subsample": 2.5}, {"repeats": 2.0}, {"seed": 0.5}, {"seed": -1}, {"repeats": 0}]
     )
     def test_non_integer_count_or_negative_seed_is_refused(self, bad):
         (name,) = bad

@@ -82,6 +82,9 @@ class TestFormatValidation:
         path.write_bytes(_HEADER.pack(b"EMB2", 1, 1) + b"\x00" * 4)
         with pytest.raises(BadMagic):
             read_embeddings(path)
+        path.write_bytes(b"EMX")  # shorter than the magic itself
+        with pytest.raises(BadMagic):
+            read_embeddings(path)
 
     def test_similarity_magic_rejected_as_embeddings(self, tmp_path):
         path = tmp_path / "s.sim"

@@ -14,6 +14,8 @@ from hubkit import (
     DataError,
     GroundTruth,
     IndexOutOfRange,
+    KOutOfRange,
+    RankMatrix,
     RetrievalReport,
     ShapeMismatch,
     SimilarityMatrix,
@@ -97,6 +99,8 @@ class TestGroundTruth:
         GroundTruth.from_indices([2**63 - 1])
         with pytest.raises(IndexOutOfRange, match="query 2"):
             best_rank(_ranks(np.eye(3)), GroundTruth(({0}, {1}, {2**70})))
+        with pytest.raises(IndexOutOfRange, match=f"query 1 references target {2**63}, beyond int64"):
+            GroundTruth.from_indices(np.array([0, 2**63], dtype=np.uint64))
 
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
@@ -274,6 +278,11 @@ class TestBestRank:
         with pytest.raises(ShapeMismatch, match="full row permutations"):
             best_rank(ranks, GroundTruth.from_indices([3]))
 
+    def test_order_beyond_its_width_is_refused(self):
+        ranks = RankMatrix(np.array([[0, 3, 1]]))
+        with pytest.raises(ShapeMismatch, match="column indices 0..3"):
+            best_rank(ranks, GroundTruth.identity(1))
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_per_query_reference(self, data):
@@ -348,8 +357,9 @@ class TestEvaluate:
         S = SimilarityMatrix(np.eye(3))
         with pytest.raises(DataError):
             evaluate(S, GroundTruth.identity(3), Ks=[])
-        with pytest.raises(DataError):
-            evaluate(S, GroundTruth.identity(3), Ks=[4])
+        for Ks, first in (([4], 4), ([1, 0, 5], 0), ([2, 3, 7, -1], 7)):
+            with pytest.raises(KOutOfRange, match=f"^k={first} out of range 1..3$"):
+                evaluate(S, GroundTruth.identity(3), Ks=Ks)
 
     @pytest.mark.parametrize("Ks", [5, None, 2.0])
     def test_ks_that_are_not_a_collection_are_refused(self, Ks):

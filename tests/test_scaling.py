@@ -1,6 +1,8 @@
 """Inverted softmax, its additive form, and the bank-based variants."""
 
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -65,15 +67,17 @@ class TestInvertedSoftmax:
         with pytest.raises(NonPositiveTau):
             inverted_softmax(S, tau=0.0)
 
-    @pytest.mark.parametrize("tau", [None, "0.02", [0.02]])
+    # float() takes a Fraction or a Decimal, but numpy cannot compute with one
+    @pytest.mark.parametrize("tau", [None, "0.02", [0.02], Fraction(1, 50), Decimal("0.02")])
     def test_rejects_non_numeric_tau(self, tau):
         S = SimilarityMatrix(np.array([[0.1]]))
-        with pytest.raises(DataError, match="tau must be a real number"):
-            inverted_softmax(S, tau=tau)
+        for call in (inverted_softmax, is_hubness, lambda S, tau: dynamic_inverted_softmax(S, S, tau=tau)):
+            with pytest.raises(DataError, match="tau must be a real number"):
+                call(S, tau)
         with pytest.raises(DataError, match="tau1 must be a real number"):
             DualISConfig(tau1=tau)
         with pytest.raises(DataError, match="tau2 must be a real number"):
-            DualISConfig(tau2=tau)
+            dual_inverted_softmax(S, S, S, DualISConfig(tau2=tau))
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_rejects_non_finite_tau(self, tau):

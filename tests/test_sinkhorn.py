@@ -3,6 +3,8 @@
 import contextlib
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -158,6 +160,10 @@ class TestMarginals:
         with pytest.raises(DataError):
             Marginals(a=np.array([0.5, 0.6]), b=np.array([0.5, 0.5]))
 
+    def test_requires_a_column_marginal(self):
+        with pytest.raises(DataError, match="column marginal b is required"):
+            Marginals(a=None, b=None)
+
     def test_config_validation(self):
         with pytest.raises(NonPositiveTau):
             SinkhornConfig(tau=0.0)
@@ -180,12 +186,13 @@ class TestMarginals:
         with pytest.raises(DataError):
             SinkhornConfig(tol=np.nan)
 
+    # float() takes a Fraction or a Decimal, but numpy cannot compute with one
     @pytest.mark.parametrize("bad", [{"tau": "x"}, {"tau": "0.01"}, {"tau": None}, {"tol": None}, {"tol": b"0"},
-                                     {"tau": 0.01j}])
+                                     {"tau": 0.01j}, {"tau": Fraction(1, 50)}, {"tau": Decimal("0.02")}])
     def test_non_numeric_tau_or_tol_is_refused(self, bad):
         (name,) = bad
         with pytest.raises(DataError, match=f"{name} must be a real number"):
-            SinkhornConfig(**bad)
+            sn_normalize(SimilarityMatrix(np.eye(2)), SinkhornConfig(**bad))
         SinkhornConfig(**{name: np.float32(0.5)})  # numpy reals pass
 
 

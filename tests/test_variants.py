@@ -2,6 +2,8 @@
 
 import itertools
 import types
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,7 +317,9 @@ class TestL2n:
         with pytest.raises(DataError):
             l2n(S, Marginals.uniform(2, 2), **bad)
 
-    @pytest.mark.parametrize("bad", [{"coeff": None}, {"coeff": "100"}, {"tol": None}, {"tol": "0"}])
+    # float() takes a Fraction or a Decimal, but numpy cannot compute with one
+    @pytest.mark.parametrize("bad", [{"coeff": None}, {"coeff": "100"}, {"tol": None}, {"tol": "0"},
+                                     {"coeff": Fraction(1, 50)}, {"coeff": Decimal("0.02")}])
     def test_refuses_non_numeric_solver_parameters(self, bad):
         (name,) = bad
         S = SimilarityMatrix(np.zeros((2, 2)) + 0.1)
