@@ -8,43 +8,9 @@ and two-bank variants) or by entropic optimal transport over the matrix
 plus exact-marginal, Euclidean, and assignment-based alternatives used as
 reference points.  Diagnostics quantify hubness before and after.
 
-hubkit owns its threads: its one block pool (see ``core``) runs ranking,
-the normalizers' passes, the cosine GEMM and the EMD repeats, on up to
-``HUBKIT_THREADS`` threads (a positive integer; unset, one per available
-CPU).  Importing the package sets numpy's OpenBLAS, found through numpy's
-own extension module, to one thread at run time, whatever
-``OPENBLAS_NUM_THREADS`` says and whether or not numpy was imported first,
-so no result depends on the BLAS thread count; it does nothing when numpy's
-BLAS is not OpenBLAS.  Before numpy loads, the import also applies
-``HUBKIT_THREADS`` as the default thread count of the BLAS/OpenMP pool
-variables that other libraries read; a pool variable that is already set
-wins.  scipy is imported by the few functions that call it, not by the
-package.
+hubkit owns its threads: see "Threads" in README.md.  scipy is imported by
+the few functions that call it, not by the package.
 """
-
-
-def _thread_cap() -> int:
-    """``HUBKIT_THREADS`` as a positive integer, or 0 when it is unset or
-    anything else.  Needs no numpy, so the cap can be applied before numpy
-    loads; ``core`` reads it on every ranking call."""
-    import os
-
-    try:
-        return max(int(os.environ.get("HUBKIT_THREADS", "0")), 0)
-    except ValueError:
-        return 0
-
-
-def _apply_thread_cap() -> None:
-    import os
-
-    cap = _thread_cap()
-    if cap > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
-
-
-_apply_thread_cap()
 
 from .core import (
     EmbeddingSet,

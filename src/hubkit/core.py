@@ -42,9 +42,7 @@ try:
 except ImportError:  # numpy before 2
     from numpy.core import _multiarray_umath
 
-# The package defines the HUBKIT_THREADS parser before it imports numpy.
-from . import _thread_cap
-from .errors import DimMismatch, KOutOfRange, NonFiniteInput, ShapeMismatch, ZeroVectorRow, _as_index
+from .errors import DataError, DimMismatch, KOutOfRange, NonFiniteInput, ShapeMismatch, ZeroVectorRow, _as_index
 
 
 class Role(Enum):
@@ -165,9 +163,10 @@ class RankMatrix:
     """Per-row permutations of column indices, best score first.
 
     Ties are broken by ascending column index, so the order is deterministic
-    for any input.  ``order`` is int32: more than 2^31 - 1 targets, or an
-    order whose values do not fit int32, is refused with ShapeMismatch
-    rather than wrapped.  ``targets`` is the number of columns ranked over
+    for any input.  ``order`` is int32, converted from any integer dtype; any
+    other dtype is a DataError, and more than 2^31 - 1 targets, or an order
+    whose values do not fit int32, is refused with ShapeMismatch rather than
+    wrapped.  ``targets`` is the number of columns ranked over
     (by default the row length); a top-k ranking holds only the first k of
     them.  ``_adopt`` is as for :class:`SimilarityMatrix`.
     """
@@ -180,6 +179,8 @@ class RankMatrix:
         order = np.asarray(self.order)
         if order.ndim != 2:
             raise ShapeMismatch(f"rank order must be 2-D, got shape {order.shape}")
+        if order.dtype.kind not in "iu":
+            raise DataError(f"rank order must hold integers, got dtype {order.dtype}")
         targets = order.shape[1] if self.targets is None else _as_index("targets", self.targets)
         if targets < order.shape[1]:
             raise ShapeMismatch(f"rank rows of {order.shape[1]} columns over {targets} targets")
@@ -251,7 +252,7 @@ def cosine_similarity_matrix(Q: EmbeddingSet, T: EmbeddingSet) -> SimilarityMatr
         c = slice(edges[k], edges[k + 1])
         np.matmul(Q.data, T.data[c].T, out=out[:, c])
 
-    _run_blocks(slab, range(slabs), slabs)
+    _run_blocks(slab, range(slabs))
     return SimilarityMatrix(out, row_role=Q.role, col_role=T.role, _adopt=True)
 
 
@@ -274,9 +275,13 @@ def _pass_rows(n: int) -> int:
 
 def _ranking_threads() -> int:
     """Block groups that any work on the block pool runs at once:
-    ``HUBKIT_THREADS`` if positive, capped at the CPUs this process may run
-    on (all of them when unset)."""
-    cap, cpus = _thread_cap(), _cpus()
+    ``HUBKIT_THREADS`` if a positive integer, capped at the CPUs this process
+    may run on (all of them when it is unset or anything else)."""
+    try:
+        cap = int(os.environ.get("HUBKIT_THREADS", "0"))
+    except ValueError:
+        cap = 0
+    cpus = _cpus()
     return min(cap, cpus) if cap > 0 else cpus
 
 
@@ -342,12 +347,12 @@ def _pin_blas() -> None:
         setter(1)
 
 
-def _run_blocks(work, starts, groups: int) -> None:
-    """Call ``work(lo)`` for every ``lo`` in ``starts``, as up to ``groups``
-    groups that run at once: this thread runs the first, the block pool the
-    others, so one group never reaches the pool.  Returns once every group
-    is done; a failure is raised."""
-    groups = min(groups, len(starts))
+def _run_blocks(work, starts) -> None:
+    """Call ``work(lo)`` for every ``lo`` in ``starts``, as up to
+    :func:`_ranking_threads` groups that run at once: this thread runs the
+    first, the block pool the others, so one group never reaches the pool.
+    Returns once every group is done; a failure is raised."""
+    groups = min(_ranking_threads(), len(starts))
 
     def run(g):
         for lo in starts[g::groups]:
@@ -371,7 +376,7 @@ def _in_row_blocks(m: int, rows: int, work) -> None:
     pool.  The blocks write disjoint slices of shared buffers; numpy
     releases the GIL inside them.
     """
-    _run_blocks(lambda lo: work(slice(lo, min(lo + rows, m))), range(0, m, rows), _ranking_threads())
+    _run_blocks(lambda lo: work(slice(lo, min(lo + rows, m))), range(0, m, rows))
 
 
 def _in_column_slabs(shape: tuple, work) -> None:
@@ -386,7 +391,7 @@ def _in_column_slabs(shape: tuple, work) -> None:
     m, n = shape
     slabs = max(1, min(_ranking_threads(), n // 2)) if m > _pass_rows(n) else 1
     edges = [n * k // slabs for k in range(slabs + 1)]
-    _run_blocks(lambda k: work(slice(edges[k], edges[k + 1])), range(slabs), slabs)
+    _run_blocks(lambda k: work(slice(edges[k], edges[k + 1])), range(slabs))
 
 
 def _argsort_block(V: np.ndarray, out: np.ndarray) -> None:

@@ -138,7 +138,7 @@ def emd(X: EmbeddingSet, Y: EmbeddingSet, cfg: EmdConfig = EmdConfig()) -> float
         rows, cols = linear_sum_assignment(cost)
         costs[r] = float(cost[rows, cols].sum()) / size
 
-    core._run_blocks(repeat, range(cfg.repeats), core._ranking_threads())
+    core._run_blocks(repeat, range(cfg.repeats))
     total = 0.0
     for c in costs:  # in repeat order, one rounding each (sum() compensates from Python 3.12)
         total += c

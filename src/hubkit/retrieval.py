@@ -136,7 +136,7 @@ class RetrievalReport:
             raise DataError("recall values must lie in [0, 100]")
         if any(lo > hi for lo, hi in zip(values, values[1:])):
             raise DataError("recall must be non-decreasing in K")
-        if self.mdr < 1 or self.mnr < 1:
+        if not (self.mdr >= 1 and self.mnr >= 1):  # NaN fails too
             raise DataError("ranks are 1-based; mdr and mnr must be >= 1")
 
 

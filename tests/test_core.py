@@ -134,7 +134,7 @@ class TestCosineSimilarity:
     def test_slabs_only_for_large_products(self, monkeypatch):
         runs, run_blocks = [], core._run_blocks
 
-        def spy(work, starts, groups):
+        def spy(work, starts):
             threads = set()
             runs.append((len(starts), threads))
 
@@ -142,7 +142,7 @@ class TestCosineSimilarity:
                 threads.add(threading.get_ident())
                 work(k)
 
-            run_blocks(traced, starts, groups)
+            run_blocks(traced, starts)
 
         monkeypatch.setattr(core, "_run_blocks", spy)
         monkeypatch.setattr(core, "_ranking_threads", lambda: 2)
@@ -496,6 +496,11 @@ class TestContainers:
         assert row_argsort_desc(S).order.dtype == np.int32
         assert row_topk_desc(S, 2).order.dtype == np.int32
         assert RankMatrix(np.array([[1, 0]], dtype=np.int64)).order.dtype == np.int32
+
+    def test_non_integer_rank_orders_are_refused(self):
+        for order in ([[0.7, 1.2]], [[np.nan, 0.0]], [[True, False]]):
+            with pytest.raises(DataError, match="rank order must hold integers"):
+                RankMatrix(np.array(order))
 
     def test_rank_orders_beyond_int32_are_refused(self):
         top = np.iinfo(np.int32).max

@@ -117,9 +117,9 @@ def _one_row_blocks(threads):
     pass ran."""
     run_blocks, runs = core._run_blocks, []
 
-    def spy(work, starts, groups):
+    def spy(work, starts):
         runs.append(len(starts))
-        run_blocks(work, starts, groups)
+        run_blocks(work, starts)
 
     with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(core, "_PASS_BLOCK_ROWS", 1), \
             mock.patch.object(core, "_ranking_threads", lambda: threads), mock.patch.object(core, "_run_blocks", spy):

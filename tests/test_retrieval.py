@@ -494,3 +494,8 @@ class TestReportValidation:
     def test_rejects_sub_one_ranks(self):
         with pytest.raises(DataError):
             RetrievalReport(r_at={1: 50.0}, mdr=0.5, mnr=1.0)
+
+    @pytest.mark.parametrize(("mdr", "mnr"), [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_rejects_nan_ranks(self, mdr, mnr):
+        with pytest.raises(DataError, match="mdr and mnr"):
+            RetrievalReport(r_at={1: 5.0}, mdr=mdr, mnr=mnr)

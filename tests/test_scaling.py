@@ -139,9 +139,9 @@ class TestInvertedSoftmaxEqualsScipy:
         # slabs of 2 or more columns
         run_blocks, slabs = core._run_blocks, []
 
-        def spy(work, starts, groups):
+        def spy(work, starts):
             slabs.append(len(starts))
-            run_blocks(work, starts, groups)
+            run_blocks(work, starts)
 
         with mock.patch.object(core, "_PASS_BLOCK_VALUES", 1), mock.patch.object(core, "_PASS_BLOCK_ROWS", 1), \
                 mock.patch.object(core, "_ranking_threads", lambda: threads), mock.patch.object(core, "_run_blocks", spy):

@@ -57,9 +57,9 @@ def _row_blocks(rows, threads=3):
     each pass ran, so a test can check that it crossed a block edge."""
     run_blocks, runs = core._run_blocks, []
 
-    def spy(work, starts, groups):
+    def spy(work, starts):
         runs.append(len(starts))
-        run_blocks(work, starts, groups)
+        run_blocks(work, starts)
 
     with mock.patch.object(core, "_PASS_BLOCK_ROWS", rows), mock.patch.object(core, "_PASS_BLOCK_VALUES", 0), \
             mock.patch.object(core, "_ranking_threads", lambda: threads), mock.patch.object(core, "_run_blocks", spy):

@@ -12,7 +12,8 @@ output, then ``sweep-tau`` and ``banksweep``, and ``emd`` of the query
 bank against the targets with each ``--cost``, its printed value saved as
 ``emd_<cost>.txt``.  It prints one ``<sha256>  <file>`` line per output,
 sorted by name, so two source trees can be compared with ``diff``.  A
-failing command stops the run.
+failing command stops the run.  ``tests/test_pipeline.py`` runs the same
+pipeline in process against the digests in ``tests/data/pipeline.sha256``.
 """
 
 import argparse
@@ -70,6 +71,11 @@ def _pipeline() -> list[list[str]]:
     return runs
 
 
+def _digests(work: Path) -> dict[str, str]:
+    """The sha256 of every file in ``work``, by name, sorted by name."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(work.iterdir())}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the hubkit package")
@@ -81,8 +87,8 @@ def main(argv=None) -> int:
         for name, run in _PRINTED.items():
             with open(Path(work) / name, "wb") as out:
                 subprocess.run([sys.executable, "-m", "hubkit.cli", *run], cwd=work, env=env, check=True, stdout=out)
-        for path in sorted(Path(work).iterdir()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        for name, digest in _digests(Path(work)).items():
+            print(f"{digest}  {name}")
     return 0
 
 
