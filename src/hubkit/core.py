@@ -8,10 +8,16 @@ as its float64 widening, and the Sinkhorn solver at temperature 0.01 keeps
 its headroom.  Embeddings are float64.
 
 Every domain type takes its array through one intake rule,
-:func:`_freeze`: a wrong rank or an empty array is ShapeMismatch, NaN or
-Inf in a float array is NonFiniteInput, and the stored array is read-only,
+:func:`_freeze`: anything but real numbers (integers, where integers are
+held), or a ragged sequence, is DataError before any cast; a wrap in an
+integer narrowing, a wrong rank or an empty array is ShapeMismatch; NaN or
+Inf in a float array is NonFiniteInput.  The stored array is read-only,
 copied only if the caller may still hold it, so every operation stays a
-pure function of immutable inputs.  Each type adds only its own range rule.
+pure function of immutable inputs.  Each type adds only its range rule: a
+RankMatrix entry is a column index of its targets, KOccurrence counts are
+nonnegative, Marginals entries are positive and sum to 1, a caller's
+TransportPlan is nonnegative, and GroundTruth has no empty row and no
+negative target.  The library's own rank orders and plans skip the scans.
 
 Every m x n pass that runs in parts, ranking and evaluation as well as the
 normalizers' passes, is split here into row blocks or column slabs for one
@@ -69,16 +75,28 @@ def _freeze(arr, ndim: int | None = None, name: str = "", dtype=np.float64, adop
     """A read-only, C-contiguous ``dtype`` array with the contents of ``arr``:
     the one intake rule of the domain types.
 
-    Given a rank ``ndim``, anything but a nonempty array of that rank is
-    refused with ShapeMismatch, and a float array holding NaN or Inf with
-    NonFiniteInput; ``name`` names the array in the message.  The array is
-    copied while the caller may still hold it: ``arr`` itself, a view of
-    it, or the buffer of any array-like but a list or tuple.  A fresh
-    conversion of an ndarray, list or tuple (a new dtype or layout) is
+    Anything but a rectangular array of real numbers (integers, for an
+    integer ``dtype``) is a DataError before any cast, and an integer
+    narrowing that would wrap a ShapeMismatch.  Given a rank ``ndim``, a
+    wrong rank or an empty array is a ShapeMismatch, and NaN or Inf in a
+    float array NonFiniteInput; ``name`` names the array in messages.  The
+    array is copied while the caller may still hold it: ``arr`` itself, a
+    view of it, or the buffer of any array-like but a list or tuple.  A
+    fresh conversion of an ndarray, list or tuple (a new dtype or layout) is
     frozen in place, and so is a result the library has just computed and
     holds no other reference to (``adopt``).
     """
-    out = np.asarray(arr, dtype=dtype, order="C")
+    kinds, what = ("iu", "integers") if np.dtype(dtype).kind in "iu" else ("biuf", "real numbers")
+    try:
+        src = np.asarray(arr)
+    except (TypeError, ValueError):  # a ragged sequence, among others
+        raise DataError(f"{name} must be a rectangular array of {what}") from None
+    if src.dtype.kind not in kinds:
+        raise DataError(f"{name} must hold {what}, got dtype {src.dtype}")
+    if kinds == "iu" and src.size and not np.can_cast(src.dtype, dtype) and (
+            src.min() < np.iinfo(dtype).min or src.max() > np.iinfo(dtype).max):
+        raise ShapeMismatch(f"{name} values {src.min()}..{src.max()} do not fit {np.dtype(dtype)}")
+    out = np.asarray(src, dtype=dtype, order="C")
     if ndim is not None:
         if out.ndim != ndim or out.size == 0:
             raise ShapeMismatch(f"{name} must be a nonempty {ndim}-D array, got shape {out.shape}")
@@ -133,7 +151,7 @@ class SimilarityMatrix:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        dtype = np.float32 if np.asarray(self.values).dtype == np.float32 else np.float64
+        dtype = np.float32 if getattr(self.values, "dtype", None) == np.float32 else np.float64
         object.__setattr__(self, "values", _freeze(self.values, 2, "similarity values", dtype=dtype, adopt=_adopt))
 
     @property
@@ -160,15 +178,14 @@ _MAX_TARGETS = np.iinfo(np.int32).max
 
 @dataclass(frozen=True)
 class RankMatrix:
-    """Per-row permutations of column indices, best score first.
+    """Per-row orders of column indices of ``targets``, best score first.
 
     Ties are broken by ascending column index, so the order is deterministic
-    for any input.  ``order`` is int32, converted from any integer dtype; any
-    other dtype is a DataError, and more than 2^31 - 1 targets, or an order
-    whose values do not fit int32, is refused with ShapeMismatch rather than
-    wrapped.  ``targets`` is the number of columns ranked over
-    (by default the row length); a top-k ranking holds only the first k of
-    them.  ``_adopt`` is as for :class:`SimilarityMatrix`.
+    for any input.  ``order`` is int32, from any integer dtype; ``targets``
+    is the number of columns ranked over (by default the row length, at most
+    2^31 - 1), and a top-k ranking holds only the first k of them.  Every
+    entry of a caller's order is a column index, ``0 <= entry < targets``.
+    ``_adopt`` is as for :class:`SimilarityMatrix`.
     """
 
     order: np.ndarray = field()
@@ -176,21 +193,17 @@ class RankMatrix:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        order = np.asarray(self.order)
+        order = _freeze(self.order, name="rank order", dtype=np.int32, adopt=_adopt)
         if order.ndim != 2:
             raise ShapeMismatch(f"rank order must be 2-D, got shape {order.shape}")
-        if order.dtype.kind not in "iu":
-            raise DataError(f"rank order must hold integers, got dtype {order.dtype}")
         targets = order.shape[1] if self.targets is None else _as_index("targets", self.targets)
         if targets < order.shape[1]:
             raise ShapeMismatch(f"rank rows of {order.shape[1]} columns over {targets} targets")
         if targets > _MAX_TARGETS:
             raise ShapeMismatch(f"{targets} targets is more than an int32 rank order holds")
-        if order.dtype != np.int32 and order.size:
-            lo, hi = order.min(), order.max()
-            if lo < -_MAX_TARGETS - 1 or hi > _MAX_TARGETS:
-                raise ShapeMismatch(f"rank order values {lo}..{hi} do not fit int32")
-        object.__setattr__(self, "order", _freeze(order, dtype=np.int32, adopt=_adopt))
+        if not _adopt and order.size and (order.min() < 0 or order.max() >= targets):
+            raise ShapeMismatch(f"rank order holds column indices {order.min()}..{order.max()} of {targets} targets")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -208,11 +221,7 @@ def l2_normalize(raw: np.ndarray) -> EmbeddingSet:
     Zero rows are a hard error (ZeroVectorRow); silently keeping them would
     corrupt every similarity they touch.
     """
-    data = np.asarray(raw, dtype=np.float64)
-    if data.ndim != 2 or data.size == 0:
-        raise ShapeMismatch(f"expected a nonempty 2-D matrix, got shape {data.shape}")
-    if not _all_finite(data):
-        raise NonFiniteInput("input contains NaN or Inf")
+    data = _freeze(raw, 2, "raw embeddings")
     norms = np.linalg.norm(data, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:

@@ -26,12 +26,11 @@ class KOccurrence:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = _freeze(self.counts, 1, "counts", dtype=np.int64)
-        if np.any(counts < 0):
+        object.__setattr__(self, "counts", _freeze(self.counts, 1, "counts", dtype=np.int64))
+        if np.any(self.counts < 0):
             raise DataError("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
         if _as_index("k", self.k) < 1:
-            raise KOutOfRange(self.k, counts.size)
+            raise KOutOfRange(self.k, self.counts.size)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ correct targets, which makes them invariant under any strictly increasing
 rescaling of the similarity scores.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import core
 from .core import RankMatrix, SimilarityMatrix
-from .errors import DataError, IndexOutOfRange, KOutOfRange, ShapeMismatch, _as_index
+from .errors import DataError, IndexOutOfRange, KOutOfRange, ShapeMismatch, _as_index, _as_real
 
 #: Largest target index a ground truth can hold: its targets are stored in int64.
 _MAX_INDEX = np.iinfo(np.int64).max
@@ -53,20 +54,24 @@ class GroundTruth:
     def __init__(self, pairs):
         entries = _iterate(pairs, "ground truth must be a collection of per-query target sets")
         rows = [_targets(i, p) for i, p in enumerate(entries)]
-        if not rows:
-            raise DataError("ground truth must cover at least one query")
         for i, row in enumerate(rows):
-            if not row:
-                raise DataError(f"query {i} has no correct targets")
-            if row[0] < 0:
-                raise IndexOutOfRange(f"query {i} has a negative target index")
-            if row[-1] > _MAX_INDEX:
-                raise IndexOutOfRange(f"query {i} references target {row[-1]}, beyond int64")
+            if row and not -_MAX_INDEX - 1 <= row[0] <= row[-1] <= _MAX_INDEX:
+                j = row[-1] if row[-1] > _MAX_INDEX else row[0]
+                raise IndexOutOfRange(f"query {i} references target {j}, beyond int64")
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum()))
         self._hold(targets, np.concatenate(([0], np.cumsum(sizes))))
 
     def _hold(self, targets: np.ndarray, starts: np.ndarray) -> "GroundTruth":
+        """Both constructors' one check: at least one query, no empty row, no negative target."""
+        if starts.size < 2:
+            raise DataError("ground truth must cover at least one query")
+        empty = np.flatnonzero(np.diff(starts) == 0)
+        if empty.size:
+            raise DataError(f"query {empty[0]} has no correct targets")
+        negative = np.flatnonzero(targets[starts[:-1]] < 0)  # each row ascends
+        if negative.size:
+            raise IndexOutOfRange(f"query {negative[0]} has a negative target index")
         object.__setattr__(self, "targets", core._freeze(targets, dtype=np.int64, adopt=True))
         object.__setattr__(self, "starts", core._freeze(starts, dtype=np.int64, adopt=True))
         return self
@@ -86,14 +91,9 @@ class GroundTruth:
         """
         if not (isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu"):
             return cls(tuple((j,) for j in _iterate(indices, "indices must be a collection of target indices")))
-        if indices.size == 0:
-            raise DataError("ground truth must cover at least one query")
-        bad = np.flatnonzero((indices < 0) | (indices > _MAX_INDEX))
-        if bad.size:
-            i = int(bad[0])
-            if indices[i] < 0:
-                raise IndexOutOfRange(f"query {i} has a negative target index")
-            raise IndexOutOfRange(f"query {i} references target {indices[i]}, beyond int64")
+        big = np.flatnonzero(indices > _MAX_INDEX)
+        if big.size:
+            raise IndexOutOfRange(f"query {big[0]} references target {indices[big[0]]}, beyond int64")
         return cls.__new__(cls)._hold(indices.astype(np.int64), np.arange(indices.size + 1))
 
     def _rows(self) -> list[list[int]]:
@@ -120,7 +120,8 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class RetrievalReport:
-    """Metrics bundle for one normalization run."""
+    """Metrics bundle for one normalization run: ``r_at`` maps Ks to recall
+    percentages; Ks are stored as Python ints, recalls, mdr and mnr as floats."""
 
     r_at: dict[int, float]
     mdr: float
@@ -130,8 +131,13 @@ class RetrievalReport:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ks = sorted(self.r_at)
-        values = [self.r_at[k] for k in ks]
+        if not isinstance(self.r_at, Mapping):
+            raise DataError(f"r_at must be a mapping from K to recall, got {self.r_at!r}")
+        r_at = {_as_index("K", k): _as_real(f"R@{k}", v) for k, v in self.r_at.items()}
+        object.__setattr__(self, "r_at", r_at)
+        for name in ("mdr", "mnr"):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
+        values = [r_at[k] for k in sorted(r_at)]
         if any(not 0.0 <= v <= 100.0 for v in values):
             raise DataError("recall values must lie in [0, 100]")
         if any(lo > hi for lo, hi in zip(values, values[1:])):
@@ -166,14 +172,12 @@ def best_rank(ranks: RankMatrix, gt: GroundTruth) -> np.ndarray:
             f"best_rank needs full row permutations, but rank rows hold {ranks.cols} "
             f"of {ranks.targets} targets (a top-k ranking)"
         )
-    if order.size and (order.min() < 0 or order.max() >= ranks.cols):
-        raise ShapeMismatch(
-            f"best_rank needs full row permutations, but rank rows of {ranks.cols} columns "
-            f"hold column indices {order.min()}..{order.max()}"
-        )
     pair_rows, cols, starts = _truth_pairs(gt, ranks.rows, ranks.cols)
-    positions = np.empty_like(order)
+    positions = np.full_like(order, -1)  # a column no row names keeps the sentinel
     np.put_along_axis(positions, order, np.arange(ranks.cols, dtype=order.dtype)[None, :], axis=1)
+    if positions.min() < 0:
+        row = np.flatnonzero((positions < 0).any(axis=1))[0]
+        raise ShapeMismatch(f"best_rank needs full row permutations, but rank row {row} repeats a column")
     return np.minimum.reduceat(positions[pair_rows, cols], starts[:-1]).astype(np.int64) + 1
 
 

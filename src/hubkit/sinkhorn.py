@@ -116,9 +116,10 @@ class TransportPlan:
     For entropic plans, f and g are log-domain potentials, whatever form the
     iteration took internally: ``pi = exp((S + f + g) / tau)`` exactly as
     stored (the free normalizing constant is absorbed into f).  Plans from
-    non-entropic solvers carry ``f = g = None`` and ``tau = 0``.  The
-    library's solvers pass ``_adopt=True`` to hand over a plan they have just
-    computed without the defensive copy; any other ``pi`` is copied.
+    non-entropic solvers carry ``f = g = None`` and ``tau = 0``.  A caller's
+    ``pi`` is copied, and must be 2-D, finite and nonnegative, its f and g
+    1-D; the library's solvers hand over a plan they have just computed
+    with ``_adopt=True``, without the copy or a scan of its entries.
     """
 
     pi: np.ndarray
@@ -131,13 +132,14 @@ class TransportPlan:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        pi = _freeze(self.pi, adopt=_adopt)
-        if pi.ndim != 2 or pi.size < 1:
-            raise ShapeMismatch(f"plan must be a nonempty 2-D matrix, got shape {pi.shape}")
-        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi", _freeze(self.pi, None if _adopt else 2, "plan", adopt=_adopt))
+        if not _adopt and np.any(self.pi < 0.0):
+            raise DataError("plan entries must be >= 0")
         for name in ("f", "g"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _freeze(getattr(self, name)))
+                object.__setattr__(self, name, _freeze(getattr(self, name), None if _adopt else 1, f"potential {name}"))
+        for name, intake in (("tau", _as_real), ("iterations_run", _as_index), ("marginal_violation", _as_real)):
+            object.__setattr__(self, name, intake(name, getattr(self, name)))
 
 
 def _violation(col_sums: np.ndarray, row_sums: np.ndarray | None, a: np.ndarray | None,

@@ -1,5 +1,6 @@
 """Embedding sets, cosine similarity, and rank extraction."""
 
+import dataclasses
 import os
 import signal
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import hubkit
 from hubkit import core
 from hubkit import (
     DimMismatch,
@@ -27,6 +29,7 @@ from hubkit import (
     TransportPlan,
     ZeroVectorRow,
     cosine_similarity_matrix,
+    k_occurrence,
     l2_normalize,
     read_embeddings,
     read_similarity,
@@ -35,7 +38,7 @@ from hubkit import (
     write_embeddings,
     write_similarity,
 )
-from hubkit.errors import DataError, KOutOfRange, ShapeMismatch
+from hubkit.errors import DataError, HubkitError, KOutOfRange, ShapeMismatch
 
 
 class TestL2Normalize:
@@ -511,7 +514,9 @@ class TestContainers:
                 RankMatrix(np.array(order), targets=2)
         with pytest.raises(ShapeMismatch):
             RankMatrix(np.array([[0, 1]]), targets=top + 1)
-        assert RankMatrix(np.array([[top, 0]]), targets=top).order[0, 0] == top
+        with pytest.raises(ShapeMismatch):  # an index equal to targets names no column
+            RankMatrix(np.array([[top, 0]]), targets=top)
+        assert RankMatrix(np.array([[top - 1, 0]]), targets=top).order[0, 0] == top - 1
 
     def test_conversions_are_not_copied_again(self):
         """A dtype conversion is adopted: one matrix-sized buffer, no second."""
@@ -588,7 +593,12 @@ INTAKES = {
     "Marginals b": (lambda x: Marginals(a=None, b=x), np.full(2, 0.5), True),
     "KOccurrence": (lambda x: KOccurrence(k=1, counts=x), np.ones(2, dtype=np.int64), False),
     "RankMatrix": (RankMatrix, np.array([[1, 0]]), False),
-    "TransportPlan": (lambda x: TransportPlan(x, None, None, 0.0, 0, 0.0), np.eye(2), False),
+    "TransportPlan": (lambda x: TransportPlan(x, None, None, 0.0, 0, 0.0), np.eye(2), True),
+}
+
+#: Public dataclasses that hold an ndarray but are not in INTAKES, and why.
+INTAKE_EXEMPT = {
+    "GroundTruth": "built from index collections; its arrays are its own, checked once by GroundTruth._hold",
 }
 
 
@@ -617,6 +627,59 @@ class TestIntake:
         bad.flat[-1] = value
         with pytest.raises(NonFiniteInput):
             make(bad)
+
+    @pytest.mark.parametrize("kind", ["string", "complex", "object", "ragged"])
+    @pytest.mark.parametrize("name", INTAKES)
+    def test_what_is_not_real_numbers_is_a_data_error(self, name, kind):
+        make, good, _ = INTAKES[name]
+        bad = {
+            "string": lambda: good.astype(str),
+            "complex": lambda: good + 1j,
+            "object": lambda: good.astype(object),
+            "ragged": lambda: [good.tolist(), good[:-1].tolist()],
+        }[kind]()
+        with pytest.raises(DataError):
+            make(bad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    @pytest.mark.parametrize("name", [name for name, (_, good, _) in INTAKES.items() if good.dtype.kind in "iu"])
+    def test_integer_intakes_refuse_floats_and_bools(self, name, dtype):
+        make, good, _ = INTAKES[name]
+        with pytest.raises(DataError, match="must hold integers"):
+            make(good.astype(dtype))
+
+    def test_caller_plans_are_nonnegative(self):
+        with pytest.raises(DataError, match="plan entries must be >= 0"):
+            TransportPlan(np.array([[0.5, -0.1]]), None, None, 0.0, 0, 0.0)
+        for f, g in ((np.zeros((1, 1)), None), (np.zeros(1), np.zeros((2, 1)))):
+            with pytest.raises(ShapeMismatch):
+                TransportPlan(np.array([[0.5, 0.5]]), f, g, 1.0, 0, 0.0)
+
+    @given(
+        order=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+                         elements=st.integers(-2, 7)),
+        targets=st.one_of(st.none(), st.integers(0, 8)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_k_occurrence_counts_every_target_of_any_rank_matrix(self, order, targets, data):
+        try:
+            R = RankMatrix(order, targets=targets)
+        except HubkitError:
+            return
+        assert R.order.min() >= 0 and R.order.max() < R.targets
+        assert k_occurrence(R, data.draw(st.integers(1, R.cols))).counts.size == R.targets
+
+    def test_every_public_array_type_is_an_intake(self):
+        """A new public type that holds an array goes through the rule, or is exempt with a reason."""
+        def holds_an_array(obj):
+            return isinstance(obj, type) and dataclasses.is_dataclass(obj) and any(
+                f.type is np.ndarray or np.ndarray in getattr(f.type, "__args__", ()) for f in dataclasses.fields(obj))
+
+        covered = {name.split()[0] for name in INTAKES}
+        holders = {name for name in hubkit.__all__ if holds_an_array(getattr(hubkit, name))}
+        assert holders >= covered - {"l2_normalize"}
+        assert holders - covered == set(INTAKE_EXEMPT)
 
 
 class _Tagged(np.ndarray):

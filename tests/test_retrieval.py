@@ -279,9 +279,14 @@ class TestBestRank:
             best_rank(ranks, GroundTruth.from_indices([3]))
 
     def test_order_beyond_its_width_is_refused(self):
-        ranks = RankMatrix(np.array([[0, 3, 1]]))
         with pytest.raises(ShapeMismatch, match="column indices 0..3"):
-            best_rank(ranks, GroundTruth.identity(1))
+            best_rank(RankMatrix(np.array([[0, 3, 1]])), GroundTruth.identity(1))
+
+    @pytest.mark.parametrize("order, row", [(np.tile([[0, 0, 1]], (1000, 1)), 0), ([[0, 1, 2], [2, 0, 2]], 1)])
+    def test_row_that_repeats_a_column_is_refused(self, order, row):
+        ranks = RankMatrix(order)
+        with pytest.raises(ShapeMismatch, match=f"full row permutations, but rank row {row} repeats a column"):
+            best_rank(ranks, GroundTruth.from_indices(np.full(ranks.rows, 2)))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -499,3 +504,18 @@ class TestReportValidation:
     def test_rejects_nan_ranks(self, mdr, mnr):
         with pytest.raises(DataError, match="mdr and mnr"):
             RetrievalReport(r_at={1: 5.0}, mdr=mdr, mnr=mnr)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"r_at": {1: "50"}}, {"r_at": 5}, {"r_at": [(1, 50.0)]}, {"mdr": "1"}, {"mnr": None},
+         {"r_at": {1: 50.0, "5": 60.0}}, {"r_at": {1.0: 50.0}}],
+    )
+    def test_rejects_what_is_not_a_number(self, fields):
+        with pytest.raises(DataError):
+            RetrievalReport(**{"r_at": {1: 50.0}, "mdr": 1.0, "mnr": 1.0, **fields})
+
+    def test_numbers_are_stored_as_python_numbers(self):
+        report = RetrievalReport(r_at={np.int64(5): np.float32(50.0), 1: 25}, mdr=np.int64(2), mnr=True)
+        assert report.r_at == {5: 50.0, 1: 25.0} and (report.mdr, report.mnr) == (2.0, 1.0)
+        assert {type(k) for k in report.r_at} == {int}
+        assert {type(v) for v in (*report.r_at.values(), report.mdr, report.mnr)} == {float}

@@ -398,6 +398,17 @@ class TestPlanFunctionals:
         # spread over the column residuals
         assert abs(marginal_violation(plan, marg) - 2.0 * marg.a[1]) <= 1e-12
 
+    @pytest.mark.parametrize("field, value", [("tau", "x"), ("iterations_run", 1.5), ("marginal_violation", None)])
+    def test_scalar_fields_must_be_numbers(self, field, value):
+        fields = {"pi": np.eye(2), "f": None, "g": None, "tau": 0.0, "iterations_run": 0, "marginal_violation": 0.0}
+        with pytest.raises(DataError, match=field):
+            TransportPlan(**{**fields, field: value})
+
+    def test_scalar_fields_are_stored_as_python_numbers(self):
+        plan = TransportPlan(np.eye(2), None, None, np.float32(0.5), np.int64(3), 0)
+        assert (plan.tau, plan.iterations_run, plan.marginal_violation) == (0.5, 3, 0.0)
+        assert [type(v) for v in (plan.tau, plan.iterations_run, plan.marginal_violation)] == [float, int, float]
+
     def test_violation_shape_check(self):
         plan = TransportPlan(
             pi=np.full((2, 2), 0.25), f=None, g=None, tau=0.0, iterations_run=0, marginal_violation=0.0
